@@ -72,7 +72,7 @@ func main() {
 	boost := flag.Bool("boost", false, "allow the 1.08 V emergency boost level")
 	deadlineMs := flag.Float64("deadline-ms", exp.Deadline*1e3, "per-job deadline in milliseconds")
 	workers := flag.Int("workers", 0, "parallel training workers (0 = GOMAXPROCS)")
-	engine := flag.String("engine", "", "RTL engine: compiled, event, interp, batch, or native")
+	engine := flag.String("engine", "", "RTL engine: native (default), compiled, interp, or batch")
 	cacheDir := flag.String("cachedir", os.Getenv("REPRO_CACHE_DIR"),
 		"persistent trace cache directory (default: $REPRO_CACHE_DIR; empty disables)")
 	overflow := flag.String("overflow", "shed", "full-queue policy: shed (reject excess) or degrade (reject and run the backlog at max frequency)")

@@ -12,13 +12,15 @@
 //
 // Job-level RTL simulation fans out across -workers goroutines
 // (default: GOMAXPROCS); results are deterministic regardless of the
-// worker count. -engine selects the RTL engine (compiled, event,
-// interp, batch — batch packs up to 64 same-design jobs into one
-// bit-sliced simulation — or native, which runs the pre-generated
-// straight-line code in internal/rtl/native and falls back to
-// compiled for unregistered netlists). -cachedir (or REPRO_CACHE_DIR) enables the persistent trace
-// cache: a re-run with unchanged netlists and workloads replays every
-// simulation from disk and reports "jobs simulated: 0".
+// worker count. -engine selects the RTL engine: native (the default)
+// runs the pre-generated straight-line code in internal/rtl/native and
+// falls back to compiled for unregistered netlists, counted in the
+// summary line's "native fallbacks: N"; compiled, interp, and batch
+// (which packs up to 64 same-design jobs into one bit-sliced
+// simulation) select the other engines. -cachedir (or REPRO_CACHE_DIR)
+// enables the persistent trace cache: a re-run with unchanged netlists
+// and workloads replays every simulation from disk and reports
+// "jobs simulated: 0".
 // -cpuprofile/-memprofile write pprof profiles of the run for
 // "Profiling the simulator" in README.md.
 package main
@@ -45,7 +47,7 @@ func main() {
 	charts := flag.Bool("charts", false, "render ASCII plots for figure experiments")
 	csvDir := flag.String("csv", "", "also write each table as CSV into this directory")
 	workers := flag.Int("workers", 0, "parallel job-simulation workers (0 = GOMAXPROCS)")
-	engine := flag.String("engine", "", "RTL engine: compiled, event, interp, batch, or native (default: compiled, or $REPRO_ENGINE)")
+	engine := flag.String("engine", "", "RTL engine: native (default, or $REPRO_ENGINE), compiled, interp, or batch")
 	cacheDir := flag.String("cachedir", os.Getenv("REPRO_CACHE_DIR"),
 		"persistent trace cache directory (default: $REPRO_CACHE_DIR; empty disables)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -146,7 +148,8 @@ func main() {
 	if cache != nil {
 		fmt.Printf("trace cache [%s]: %s; ", cache.Dir(), cache.Stats())
 	}
-	fmt.Printf("jobs batched: %d; jobs simulated: %d\n", core.BatchedJobs(), core.SimulatedJobs())
+	fmt.Printf("jobs batched: %d; jobs simulated: %d; native fallbacks: %d\n",
+		core.BatchedJobs(), core.SimulatedJobs(), rtl.NativeFallbacks())
 
 	if *memprofile != "" {
 		f, err := os.Create(*memprofile)

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	rtlsim [-max N] [-vcd out.vcd] [-mem name=v0,v1,...] design.v
+//	rtlsim [-engine E] [-max N] [-vcd out.vcd] [-mem name=v0,v1,...] design.v
 //
 // The -mem flag repeats; each loads a scratchpad by name with decimal
 // word values before the run. Example:
@@ -22,8 +22,9 @@ import (
 
 	"repro/internal/rtl"
 
-	// Register the suite's pre-generated native simulators so
-	// -engine native resolves them for matching netlists.
+	// Register the suite's pre-generated native simulators so the
+	// default native engine resolves them for matching netlists; any
+	// other design (user Verilog) falls back to compiled.
 	_ "repro/internal/rtl/native"
 
 	"repro/internal/verilog"
@@ -56,7 +57,7 @@ func (m memFlags) Set(s string) error {
 func main() {
 	maxCycles := flag.Uint64("max", 1<<20, "cycle limit")
 	vcdPath := flag.String("vcd", "", "write a VCD waveform here")
-	engine := flag.String("engine", "", "RTL engine: compiled, event, interp, batch, or native (default: compiled, or $REPRO_ENGINE)")
+	engine := flag.String("engine", "", "RTL engine: native (default, or $REPRO_ENGINE), compiled, interp, or batch")
 	mems := memFlags{}
 	flag.Var(mems, "mem", "load a memory: name=v0,v1,... (repeatable)")
 	flag.Parse()

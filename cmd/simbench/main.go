@@ -9,9 +9,9 @@
 //
 // It reports four things:
 //
-//  1. engine throughput (Mevals/s, ns/cycle) for all five engines —
-//     interp, compiled, event, native (pre-generated straight-line
-//     code), and batch (measured as 64 lanes of the same job,
+//  1. engine throughput (Mevals/s, ns/cycle) for all four engines —
+//     interp, compiled, native (pre-generated straight-line code, the
+//     default), and batch (measured as 64 lanes of the same job,
 //     aggregate) — on the Toy design and on every benchmark of the
 //     suite, with per-design speedup ratios. Toy has no generated
 //     native sim by design, so its native row measures the compiled
@@ -24,13 +24,17 @@
 //     slice per job, the work core.CollectTraces does) per benchmark:
 //     scalar compiled jobs/s vs batched jobs/s vs native jobs/s and
 //     their ratios,
-//  4. the wall-clock of warming the full (quick) experiment lab
-//     (skipped with -warm=false).
+//  4. the wall-clock of dvfsim's offline flow — warming the full
+//     experiment lab (Train plus CollectTraces on all seven
+//     benchmarks, trace cache detached) — under the default native
+//     engine and under its compiled fallback, with the fallbacks each
+//     run counted (skipped with -warm=false).
 //
-// -designs restricts sections 1 and 3 to a comma-separated subset of
-// benchmarks (CI smoke runs use this). -engine sets the process-wide
-// default RTL engine, which section 4 (and any cache-miss simulation)
-// picks up.
+// The report also records the command line, GOMAXPROCS, the worker
+// count and the default engine it ran under. -designs restricts
+// sections 1 and 3 to a comma-separated subset of benchmarks (CI smoke
+// runs use this). -engine sets the process-wide default RTL engine,
+// which any cache-miss simulation in Train picks up.
 package main
 
 import (
@@ -63,16 +67,14 @@ type EngineResult struct {
 	NsPerCycle float64 `json:"ns_per_cycle"`
 }
 
-// DesignResult groups the three engines' numbers on one design plus
-// the headline ratios.
+// DesignResult groups the engines' numbers on one design plus the
+// headline ratios.
 type DesignResult struct {
 	Design  string         `json:"design"`
 	Nodes   int            `json:"nodes"`
 	Engines []EngineResult `json:"engines"`
 	// Speedup ratios in Mevals/s (equivalently wall-clock, same work).
 	CompiledVsInterp float64 `json:"compiled_vs_interp"`
-	EventVsCompiled  float64 `json:"event_vs_compiled"`
-	EventVsInterp    float64 `json:"event_vs_interp"`
 	// NativeVsCompiled compares the pre-generated native code against
 	// the compiled instruction stream on the same single job. For
 	// designs without a registered native sim (toy) the native row is
@@ -124,20 +126,38 @@ type PruneResult struct {
 	SliceInstrPruned int     `json:"slice_instr_pruned"`
 }
 
+// SuiteResult is one timed run of the offline flow (the full seed lab's
+// Train plus CollectTraces on every benchmark) under one engine.
+type SuiteResult struct {
+	Engine          string  `json:"engine"`
+	Seconds         float64 `json:"seconds"`
+	JobsSimulated   uint64  `json:"jobs_simulated"`
+	NativeFallbacks uint64  `json:"native_fallbacks"`
+}
+
 // Report is the BENCH_sim.json schema.
 type Report struct {
-	Generated       string             `json:"generated"`
+	Generated     string `json:"generated"`
+	Command       string `json:"command"`
+	GOMAXPROCS    int    `json:"gomaxprocs"`
+	DefaultEngine string `json:"default_engine"`
+	// MaxWorkers caps the worker sweep; Workers is the job fan-out the
+	// other sections ran with (core.Workers).
 	MaxWorkers      int                `json:"max_workers"`
+	Workers         int                `json:"workers"`
 	Designs         []DesignResult     `json:"designs"`
 	Prune           []PruneResult      `json:"prune"`
 	WorkerSweep     []TraceResult      `json:"worker_sweep"`
 	TraceThroughput []ThroughputResult `json:"trace_throughput"`
-	SuiteWallclockS float64            `json:"suite_wallclock_s"`
+	// Suite times the offline flow under the default engine first, then
+	// its compiled fallback; NativeSuiteSpeedup is their ratio.
+	Suite              []SuiteResult `json:"suite"`
+	NativeSuiteSpeedup float64       `json:"native_suite_speedup"`
 }
 
 // engineOrder fixes the measurement and report order; interp first so
 // every ratio reads engines[i] vs engines[0].
-var engineOrder = []rtl.Engine{rtl.EngineInterp, rtl.EngineCompiled, rtl.EngineEvent, rtl.EngineNative}
+var engineOrder = []rtl.Engine{rtl.EngineInterp, rtl.EngineCompiled, rtl.EngineNative}
 
 // measurePasses splits each engine measurement into this many timed
 // passes and reports the fastest one, so a transient background blip
@@ -171,26 +191,14 @@ func measure(reps int, fn func() (uint64, error)) (uint64, float64, error) {
 	return bestCycles, bestSecs, nil
 }
 
-// measureDesign runs one job on a design under the four scalar
+// measureDesign runs one job on a design under the three scalar
 // engines, then the same job on all 64 lanes of the batch engine
 // (whose cycles and Mevals/s are therefore aggregate numbers).
 func measureDesign(design string, m *rtl.Module, job accel.Job, maxTicks uint64, reps int,
 	runner func(*rtl.Sim) func() (uint64, error)) (DesignResult, error) {
 	dr := DesignResult{Design: design, Nodes: m.NumNodes()}
-	p := rtl.Compile(m)
 	for _, eng := range engineOrder {
-		var s *rtl.Sim
-		switch eng {
-		case rtl.EngineInterp:
-			s = rtl.NewInterpSim(m)
-		case rtl.EngineCompiled:
-			s = p.NewSim()
-		case rtl.EngineEvent:
-			s = p.NewEventSim()
-		case rtl.EngineNative:
-			s = rtl.NewSimEngine(m, rtl.EngineNative)
-		}
-		cycles, secs, err := measure(reps, runner(s))
+		cycles, secs, err := measure(reps, runner(rtl.NewSimEngine(m, eng)))
 		if err != nil {
 			return dr, fmt.Errorf("%s/%s: %w", design, eng, err)
 		}
@@ -232,12 +240,10 @@ func measureDesign(design string, m *rtl.Module, job accel.Job, maxTicks uint64,
 		MevalsPerS: float64(cycles*uint64(m.NumNodes())) / secs / 1e6,
 		NsPerCycle: secs * 1e9 / float64(cycles),
 	})
-	interp, compiled, event := dr.Engines[0].MevalsPerS, dr.Engines[1].MevalsPerS, dr.Engines[2].MevalsPerS
+	interp, compiled := dr.Engines[0].MevalsPerS, dr.Engines[1].MevalsPerS
 	dr.CompiledVsInterp = compiled / interp
-	dr.EventVsCompiled = event / compiled
-	dr.EventVsInterp = event / interp
-	dr.NativeVsCompiled = dr.Engines[3].MevalsPerS / compiled
-	dr.BatchVsCompiled = dr.Engines[4].MevalsPerS / compiled
+	dr.NativeVsCompiled = dr.Engines[2].MevalsPerS / compiled
+	dr.BatchVsCompiled = dr.Engines[3].MevalsPerS / compiled
 	return dr, nil
 }
 
@@ -247,8 +253,8 @@ func run() error {
 	seed := flag.Int64("seed", 42, "workload generation seed")
 	reps := flag.Int("reps", 60, "jobs per engine measurement")
 	designs := flag.String("designs", "", "comma-separated benchmark subset for the throughput sections (default: all)")
-	engine := flag.String("engine", "", "process-wide default RTL engine: compiled, event, interp, batch, or native")
-	warm := flag.Bool("warm", true, "measure the quick-lab warm-up wall-clock")
+	engine := flag.String("engine", "", "process-wide default RTL engine: native (default), compiled, interp, or batch")
+	warm := flag.Bool("warm", true, "measure the offline flow's wall-clock under the native and compiled engines")
 	cacheDir := flag.String("cachedir", os.Getenv("REPRO_CACHE_DIR"),
 		"persistent trace cache directory (default: $REPRO_CACHE_DIR; empty disables)")
 	flag.Parse()
@@ -286,9 +292,17 @@ func run() error {
 	if maxWorkers <= 0 {
 		maxWorkers = runtime.GOMAXPROCS(0)
 	}
-	rep := Report{Generated: time.Now().UTC().Format(time.RFC3339), MaxWorkers: maxWorkers} //detlint:allow simbench measures wall-clock throughput by design
+	core.SetWorkers(*workers)
+	rep := Report{
+		Generated:     time.Now().UTC().Format(time.RFC3339), //detlint:allow simbench measures wall-clock throughput by design
+		Command:       strings.Join(append([]string{"simbench"}, os.Args[1:]...), " "),
+		GOMAXPROCS:    runtime.GOMAXPROCS(0),
+		DefaultEngine: string(rtl.DefaultEngine()),
+		MaxWorkers:    maxWorkers,
+		Workers:       core.Workers(),
+	}
 
-	// 1. Engine throughput: Toy plus every benchmark, three engines each.
+	// 1. Engine throughput: Toy plus every benchmark, every engine.
 	toy := testdesigns.Toy()
 	items := make([]uint64, 100)
 	for i := range items {
@@ -402,16 +416,33 @@ func run() error {
 		rep.TraceThroughput = append(rep.TraceThroughput, tr)
 	}
 
-	// 4. Full quick-lab warm-up wall-clock (train + trace all seven
-	// benchmarks), the end-to-end number the experiments feel.
+	// 4. The offline flow's wall-clock (train + trace all seven
+	// benchmarks), the end-to-end number dvfsim feels, under the
+	// default engine and its compiled fallback. Like the sweep it times
+	// real simulation, so the cache is detached.
 	if *warm {
-		lab := exp.NewLab(*seed)
-		lab.Quick = true
-		start := time.Now() //detlint:allow simbench measures wall-clock throughput by design
-		if err := lab.Warm(); err != nil {
+		core.SetTraceCache(nil)
+		for _, eng := range []rtl.Engine{rtl.EngineNative, rtl.EngineCompiled} {
+			if err := rtl.SetDefaultEngine(eng); err != nil {
+				return err
+			}
+			simBefore, fallBefore := core.SimulatedJobs(), rtl.NativeFallbacks()
+			start := time.Now() //detlint:allow simbench measures wall-clock throughput by design
+			if err := exp.NewLab(*seed).Warm(); err != nil {
+				return err
+			}
+			rep.Suite = append(rep.Suite, SuiteResult{
+				Engine:          string(eng),
+				Seconds:         time.Since(start).Seconds(),
+				JobsSimulated:   core.SimulatedJobs() - simBefore,
+				NativeFallbacks: rtl.NativeFallbacks() - fallBefore,
+			})
+		}
+		rep.NativeSuiteSpeedup = rep.Suite[1].Seconds / rep.Suite[0].Seconds
+		if err := rtl.SetDefaultEngine(sweepDefault); err != nil {
 			return err
 		}
-		rep.SuiteWallclockS = time.Since(start).Seconds()
+		core.SetTraceCache(sweepCache)
 	}
 
 	data, err := json.MarshalIndent(&rep, "", "  ")
@@ -422,14 +453,10 @@ func run() error {
 	if err := os.WriteFile(*out, data, 0o644); err != nil {
 		return err
 	}
-	twoX := 0
 	nativeThreeX := 0
 	for _, d := range rep.Designs {
 		if d.Design == "toy" {
 			continue
-		}
-		if d.EventVsCompiled >= 2 {
-			twoX++
 		}
 		if d.NativeVsCompiled >= 3 {
 			nativeThreeX++
@@ -442,9 +469,10 @@ func run() error {
 		}
 	}
 	last := rep.WorkerSweep[len(rep.WorkerSweep)-1]
-	fmt.Printf("simbench: event>=2x compiled on %d/%d benchmarks, native>=3x compiled on %d/%d, batch>=4x compiled traces on %d/%d, traces %.2fx with %d workers (%s), quick suite %.1fs -> %s\n",
-		twoX, len(rep.Designs)-1, nativeThreeX, len(rep.Designs)-1, fourX, len(rep.TraceThroughput), last.Speedup, last.Workers, last.Engine, rep.SuiteWallclockS, *out)
-	fmt.Printf("jobs batched: %d; jobs simulated: %d\n", core.BatchedJobs(), core.SimulatedJobs())
+	fmt.Printf("simbench: native>=3x compiled on %d/%d benchmarks, batch>=4x compiled traces on %d/%d, traces %.2fx with %d workers (%s), offline flow native vs compiled %.2fx -> %s\n",
+		nativeThreeX, len(rep.Designs)-1, fourX, len(rep.TraceThroughput), last.Speedup, last.Workers, last.Engine, rep.NativeSuiteSpeedup, *out)
+	fmt.Printf("jobs batched: %d; jobs simulated: %d; native fallbacks: %d\n",
+		core.BatchedJobs(), core.SimulatedJobs(), rtl.NativeFallbacks())
 	return nil
 }
 

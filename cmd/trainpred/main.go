@@ -11,9 +11,10 @@
 // evaluates a previously saved model instead. -cachedir (or
 // REPRO_CACHE_DIR) enables the persistent trace cache, so retraining
 // with unchanged netlists and workloads skips all RTL simulation.
-// -engine selects the RTL engine (compiled, event, interp, batch,
-// native); batch packs training jobs 64 to a simulation, native runs
-// pre-generated straight-line code where registered.
+// -engine selects the RTL engine (native, the default, runs
+// pre-generated straight-line code where registered and compiled
+// elsewhere; compiled; interp; batch packs training jobs 64 to a
+// simulation).
 package main
 
 import (
@@ -31,7 +32,7 @@ func main() {
 	seed := flag.Int64("seed", 42, "workload generation seed")
 	save := flag.String("save", "", "write the trained model as JSON (single benchmark only)")
 	load := flag.String("load", "", "evaluate a saved model instead of training")
-	engine := flag.String("engine", "", "RTL engine: compiled, event, interp, batch, or native (default: compiled, or $REPRO_ENGINE)")
+	engine := flag.String("engine", "", "RTL engine: native (default, or $REPRO_ENGINE), compiled, interp, or batch")
 	cacheDir := flag.String("cachedir", os.Getenv("REPRO_CACHE_DIR"),
 		"persistent trace cache directory (default: $REPRO_CACHE_DIR; empty disables)")
 	flag.Parse()

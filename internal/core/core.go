@@ -32,9 +32,11 @@ import (
 	"repro/internal/rtl"
 
 	// Register the pre-generated native simulators for the benchmark
-	// suite: with this import, REPRO_ENGINE=native resolves suite
-	// netlists (full designs, pruned twins, predictor slices) to
-	// specialized straight-line code in every flow built on core.
+	// suite: with this import, the default (native) engine resolves
+	// suite netlists (full designs, pruned twins, predictor slices) to
+	// specialized straight-line code in every flow built on core;
+	// anything unregistered falls back to compiled, counted in
+	// rtl.NativeFallbacks.
 	_ "repro/internal/rtl/native"
 
 	"repro/internal/slice"

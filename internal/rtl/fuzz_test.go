@@ -104,7 +104,7 @@ func fuzzModule(f *byteFeed) *rtl.Module {
 
 // FuzzEngineDifferential is the coverage-guided version of
 // TestEnginesMatchOnRandomNetlists: fuzz bytes pick the netlist shape
-// and the stimulus, and the compiled, event, and batch engines must
+// and the stimulus, and the compiled, native, and batch engines must
 // stay bit-exact with the interpreter on every node value, cycle
 // count, toggle counter, and memory word. The batch engine runs a
 // fuzz-chosen lane count (1..64) with per-lane perturbed stimulus, so

@@ -37,17 +37,11 @@ func benchToy(b *testing.B, s *rtl.Sim, nodes int) {
 	b.ReportMetric(float64(total)/float64(b.N), "ticks/job")
 }
 
-// BenchmarkToySim measures the default (compiled) engine.
+// BenchmarkToySim measures the compiled engine (Toy has no generated
+// native step, so the default engine falls back to it).
 func BenchmarkToySim(b *testing.B) {
 	toy := testdesigns.Toy()
 	benchToy(b, rtl.NewSimEngine(toy.M, rtl.EngineCompiled), toy.M.NumNodes())
-}
-
-// BenchmarkToySimEvent measures the event-driven engine on the same
-// wait-heavy workload — the elision headroom of the paper's §3.
-func BenchmarkToySimEvent(b *testing.B) {
-	toy := testdesigns.Toy()
-	benchToy(b, rtl.NewEventSim(toy.M), toy.M.NumNodes())
 }
 
 // BenchmarkToySimInterp measures the interpreter escape hatch on the
@@ -82,9 +76,6 @@ func benchAccel(b *testing.B, engine rtl.Engine) {
 // BenchmarkStencilSim measures the compiled engine on a real
 // accelerator netlist.
 func BenchmarkStencilSim(b *testing.B) { benchAccel(b, rtl.EngineCompiled) }
-
-// BenchmarkStencilSimEvent measures the event engine on the same job.
-func BenchmarkStencilSimEvent(b *testing.B) { benchAccel(b, rtl.EngineEvent) }
 
 // BenchmarkStencilSimInterp is the interpreter reference point.
 func BenchmarkStencilSimInterp(b *testing.B) { benchAccel(b, rtl.EngineInterp) }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/accel"
 	"repro/internal/core"
 	"repro/internal/online"
+	"repro/internal/rtl"
 	"repro/internal/workload"
 )
 
@@ -257,7 +258,8 @@ func (a *API) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // WriteMetrics renders the Prometheus-style text exposition for the
-// given shards, in order, labeling every series with the shard's name.
+// given shards, in order, labeling every per-shard series with the
+// shard's name, followed by the process-wide native-fallback counter.
 // The single-server /metrics endpoint and the cluster endpoint (where
 // each replica is a shard named "bench/i") share this renderer.
 func WriteMetrics(w io.Writer, shards []*Shard) {
@@ -335,4 +337,9 @@ func WriteMetrics(w io.Writer, shards []*Shard) {
 		fmt.Fprintf(w, "dvfserved_predict_ns_sum{shard=%q,engine=%q} %g\n", name, sh.predEngine, sum)
 		fmt.Fprintf(w, "dvfserved_predict_ns_count{shard=%q,engine=%q} %d\n", name, sh.predEngine, cum[len(cum)-1])
 	}
+	// Process-wide, so unlabeled: every simulator this process built on
+	// the compiled engine because its netlist had no generated native
+	// step (about 5x slower per job).
+	fmt.Fprintf(w, "# HELP dvfserved_native_fallbacks_total Simulators that fell back from the native to the compiled engine.\n# TYPE dvfserved_native_fallbacks_total counter\n")
+	fmt.Fprintf(w, "dvfserved_native_fallbacks_total %d\n", rtl.NativeFallbacks())
 }

@@ -134,6 +134,13 @@ func TestHTTPAPI(t *testing.T) {
 	if code != 200 {
 		t.Fatalf("metrics: %d", code)
 	}
+	e, err := lab.Entry("aes")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The predict_ns engine label names the engine the slice actually
+	// runs on: compiled under the batch default, which has no scalar form.
+	sliceEngine := rtl.NewSimEngine(e.Pred.Slice.M, rtl.DefaultEngine()).Engine()
 	for _, want := range []string{
 		`dvfserved_jobs_done_total{shard="aes"} 12`,
 		`dvfserved_latency_seconds_count{shard="aes"} 12`,
@@ -142,7 +149,9 @@ func TestHTTPAPI(t *testing.T) {
 		`dvfserved_bound_clamps_total{shard="aes"}`,
 		"# TYPE dvfserved_energy_joules_total counter",
 		"# TYPE dvfserved_predict_ns histogram",
-		`dvfserved_predict_ns_count{shard="aes",engine="` + string(rtl.DefaultEngine()) + `"}`,
+		`dvfserved_predict_ns_count{shard="aes",engine="` + string(sliceEngine) + `"}`,
+		"# TYPE dvfserved_native_fallbacks_total counter",
+		"\ndvfserved_native_fallbacks_total ",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q", want)
@@ -152,10 +161,6 @@ func TestHTTPAPI(t *testing.T) {
 	// Bound-clamp wiring: force a clamp on the shard's predictor (an
 	// absurd feature vector predicts far past the static maximum) and
 	// the count must surface in the shard's stats snapshot.
-	e, err := lab.Entry("aes")
-	if err != nil {
-		t.Fatal(err)
-	}
 	huge := make([]float64, len(e.Pred.Kept))
 	for i := range huge {
 		huge[i] = 1e12

@@ -10,13 +10,6 @@ import (
 	_ "repro/internal/rtl/native"
 )
 
-// TestEnginesMatchOnSuite is the suite-wide differential test: for
-// every benchmark, the instrumented full design AND its hardware slice
-// are run on real jobs by the scalar engines — interpreter (reference),
-// compiled, event-driven, and the generated native code — and every
-// observable (ticks, every node value, every toggle counter, every
-// memory word) must agree bit-exactly. The toggle counters feed the energy model, so their
-// equivalence is what licenses making the faster engines the default.
 // TestBatchEngineMatchesOnSuite extends the differential net to the
 // batch engine on every benchmark: several real jobs of differing
 // lengths are packed into lanes of one BatchSim — so lanes retire at
@@ -77,6 +70,14 @@ func TestBatchEngineMatchesOnSuite(t *testing.T) {
 	}
 }
 
+// TestEnginesMatchOnSuite is the suite-wide differential test: for
+// every benchmark, the instrumented full design AND its hardware slice
+// are run on real jobs by the scalar engines — interpreter (reference),
+// compiled, and the generated native code — and every observable
+// (ticks, every node value, every toggle counter, every memory word)
+// must agree bit-exactly. The toggle counters feed the energy model,
+// so their equivalence is what licenses native as the default engine
+// and compiled as its fallback.
 func TestEnginesMatchOnSuite(t *testing.T) {
 	for _, spec := range All() {
 		spec := spec
@@ -84,7 +85,6 @@ func TestEnginesMatchOnSuite(t *testing.T) {
 			ins, sl := instrumentAndSlice(t, spec)
 			jobs := spec.TestJobs(23)[:2]
 			for _, mod := range []*rtl.Module{ins.M, sl.M} {
-				p := rtl.Compile(mod)
 				ref := rtl.NewInterpSim(mod)
 				nat := rtl.NewSimEngine(mod, rtl.EngineNative)
 				if got := nat.Engine(); got != rtl.EngineNative {
@@ -95,8 +95,7 @@ func TestEnginesMatchOnSuite(t *testing.T) {
 					name string
 					s    *rtl.Sim
 				}{
-					{"compiled", p.NewSim()},
-					{"event", p.NewEventSim()},
+					{"compiled", rtl.Compile(mod).NewSim()},
 					{"native", nat},
 				}
 				ref.EnableActivity()

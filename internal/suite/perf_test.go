@@ -8,64 +8,6 @@ import (
 	"repro/internal/rtl"
 )
 
-// waitHeavy are the benchmarks whose jobs spend large stretches in
-// wait states (memory-bound streaming kernels with long self-looping
-// FSM phases) — the workloads the event engine exists for. On these,
-// event-driven evaluation must never lose to the interpreter; per
-// BENCH_sim.json it beats even the compiled engine by >2x.
-var waitHeavy = []string{"h264", "djpeg", "aes"}
-
-// TestEventEngineNoRegression is a soft performance guard: it times
-// the interpreter and the event engine on the wait-heavy benchmarks
-// and fails only if the event engine is slower than the interpreter —
-// a margin so wide (>2.5x in BENCH_sim.json) that tripping it means a
-// real regression, not scheduler noise. Throughputs are logged for
-// eyeballing either way. Skipped under -short: it measures wall-clock
-// on purpose.
-func TestEventEngineNoRegression(t *testing.T) {
-	if testing.Short() {
-		t.Skip("wall-clock measurement; skipped with -short")
-	}
-	for _, name := range waitHeavy {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			spec, err := ByName(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m := spec.Build()
-			job := spec.TestJobs(3)[0]
-			nodes := float64(m.NumNodes())
-			run := func(s *rtl.Sim) (perCycleNs float64, mevals float64) {
-				// Best of three passes; a transient background blip on
-				// one engine's slice of wall-clock must not fail CI.
-				best := 0.0
-				var cycles uint64
-				for p := 0; p < 3; p++ {
-					start := time.Now() //detlint:allow perf guard measures wall-clock by design
-					c, err := accel.RunJob(s, job, spec.MaxTicks)
-					if err != nil {
-						t.Fatal(err)
-					}
-					secs := time.Since(start).Seconds()
-					if best == 0 || secs < best {
-						best, cycles = secs, c
-					}
-				}
-				return best * 1e9 / float64(cycles), float64(cycles) * nodes / best / 1e6
-			}
-			interpNs, interpMe := run(rtl.NewInterpSim(m))
-			eventNs, eventMe := run(rtl.NewEventSim(m))
-			t.Logf("interp %.0f ns/cycle (%.1f Mevals/s), event %.0f ns/cycle (%.1f Mevals/s), event/interp %.2fx",
-				interpNs, interpMe, eventNs, eventMe, interpNs/eventNs)
-			if eventNs > interpNs {
-				t.Errorf("event engine slower than interpreter on wait-heavy %s: %.0f ns/cycle vs %.0f",
-					name, eventNs, interpNs)
-			}
-		})
-	}
-}
-
 // TestBatchEngineNoRegression guards the batch engine's reason to
 // exist: aggregate trace-collection throughput (instrumented full
 // design + hardware slice per job, the exact work core.CollectTraces

@@ -15,7 +15,7 @@ import (
 // design, the pruned twin must reproduce the unpruned interpreter's
 // observables bit-exactly on real jobs — tick count, every feature
 // witness register, and every surviving memory — under all four
-// engines (interp, compiled, event scalar; batch as packed lanes).
+// engines (interp, compiled, native scalar; batch as packed lanes).
 func TestPrunedFullDesignMatchesOnSuite(t *testing.T) {
 	for _, spec := range All() {
 		spec := spec
@@ -47,14 +47,17 @@ func TestPrunedFullDesignMatchesOnSuite(t *testing.T) {
 			if len(jobs) > 3 {
 				jobs = jobs[:3]
 			}
-			pp := rtl.Compile(pm)
+			nat := rtl.NewSimEngine(pm, rtl.EngineNative)
+			if got := nat.Engine(); got != rtl.EngineNative {
+				t.Fatalf("%s pruned: native sim reports %q — regenerate internal/rtl/native", spec.Name, got)
+			}
 			engines := []struct {
 				name string
 				s    *rtl.Sim
 			}{
 				{"interp", rtl.NewInterpSim(pm)},
-				{"compiled", pp.NewSim()},
-				{"event", pp.NewEventSim()},
+				{"compiled", rtl.Compile(pm).NewSim()},
+				{"native", nat},
 			}
 			ref := rtl.NewInterpSim(ins.M)
 			for ji, job := range jobs {
