@@ -25,8 +25,8 @@
 //     scalar compiled jobs/s vs batched jobs/s vs native jobs/s and
 //     their ratios,
 //  4. the wall-clock of dvfsim's offline flow — warming the full
-//     experiment lab (Train plus CollectTraces on all seven
-//     benchmarks, trace cache detached) — under the default native
+//     experiment lab (TrainWithTraces plus the test set's
+//     CollectTraces on all seven benchmarks, trace cache detached) — under the default native
 //     engine and under its compiled fallback, with the fallbacks each
 //     run counted (skipped with -warm=false).
 //
@@ -127,7 +127,8 @@ type PruneResult struct {
 }
 
 // SuiteResult is one timed run of the offline flow (the full seed lab's
-// Train plus CollectTraces on every benchmark) under one engine.
+// TrainWithTraces plus test-set CollectTraces on every benchmark) under
+// one engine.
 type SuiteResult struct {
 	Engine          string  `json:"engine"`
 	Seconds         float64 `json:"seconds"`

@@ -13,12 +13,14 @@ import (
 	"repro/internal/core"
 	"repro/internal/dvfs"
 	"repro/internal/serve"
+	"repro/internal/tracecache"
 )
 
 // TestHTTPAPI drives the cluster-mode HTTP surface end to end against
 // a live two-replica pool: submit a stream, drain, read stats, model
 // and metrics (per-replica shard series, router counters, and the
-// process-wide native-fallback counter), and exercise the error paths.
+// process-wide native-fallback, design-run and trace-cache counters),
+// and exercise the error paths.
 func TestHTTPAPI(t *testing.T) {
 	p, err := core.Train(stencil.Spec(), core.Options{TrainJobs: stencil.JobsFrom(stencilImages(40, 40, 3), 3)})
 	if err != nil {
@@ -135,7 +137,30 @@ func TestHTTPAPI(t *testing.T) {
 		"# TYPE dvfscluster_jobs_submitted_total counter",
 		"# TYPE dvfserved_native_fallbacks_total counter",
 		"\ndvfserved_native_fallbacks_total ",
+		"# TYPE dvfserved_simulated_jobs_total counter",
+		"\ndvfserved_simulated_jobs_total ",
+		"# TYPE dvfserved_batched_jobs_total counter",
+		"\ndvfserved_batched_jobs_total ",
 	} {
+		if !strings.Contains(body, want) {
+			t.Errorf("metrics missing %q", want)
+		}
+	}
+	if strings.Contains(body, "dvfserved_trace_cache_") != (core.TraceCache() != nil) {
+		t.Error("trace-cache series must be exported exactly when a cache is installed")
+	}
+	// With a cache installed, its hit and miss counts are exported.
+	c, err := tracecache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := core.TraceCache()
+	core.SetTraceCache(c)
+	defer core.SetTraceCache(prev)
+	var miss []int
+	c.Get("absent", &miss)
+	_, body = do("GET", "/metrics", "")
+	for _, want := range []string{"\ndvfserved_trace_cache_hits_total 0\n", "\ndvfserved_trace_cache_misses_total 1\n"} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q", want)
 		}

@@ -25,14 +25,17 @@ func SetTraceCache(c *tracecache.Cache) { traceCache.Store(c) }
 // TraceCache returns the installed cache, or nil.
 func TraceCache() *tracecache.Cache { return traceCache.Load() }
 
-// simJobs counts RTL job simulations actually executed (cache misses
-// and uncached runs). A warm-cache pipeline run must leave this at
-// zero — that is the acceptance check commands print as
+// simJobs counts design runs actually executed (cache misses and
+// uncached runs): one per simulation of a job on one netlist, so a
+// JobSimulator.Trace counts two (full design and slice), Execute and a
+// Train job one each, and a TrainWithTraces job two (Train's full
+// design, then only the slice). A warm-cache pipeline run must leave
+// this at zero — that is the acceptance check commands print as
 // "jobs simulated: N".
 var simJobs atomic.Uint64
 
-// SimulatedJobs returns the number of RTL job simulations executed by
-// this process so far.
+// SimulatedJobs returns the number of design runs (one per full-design
+// or slice simulation of a job) executed by this process so far.
 func SimulatedJobs() uint64 { return simJobs.Load() }
 
 // batchedJobs counts the subset of simJobs that ran inside batch lanes

@@ -138,8 +138,46 @@ func (p *Predictor) batchPlans() (full, sl *rtl.BatchPlan) {
 
 // Train runs the full offline flow of Figure 6 for one accelerator.
 func Train(spec accel.Spec, opt Options) (*Predictor, error) {
+	p, _, err := train(spec, opt)
+	return p, err
+}
+
+// TrainWithTraces runs Train and also returns the training jobs'
+// traces, equal to what CollectTraces of those jobs returns on the
+// trained predictor, without simulating any training job's full design
+// a second time: each trace is built from the tick count and feature
+// row Train's own run produced, and only the slice runs. The trace step
+// keeps CollectTraces' trace-cache key, fault keys, retries, bounds
+// checks and fan-out. When Train's rows came from the trace cache there
+// are no runs to reuse, and the traces come from CollectTraces.
+func TrainWithTraces(spec accel.Spec, opt Options) (*Predictor, []JobTrace, error) {
+	p, runs, err := train(spec, opt)
+	if err != nil {
+		return nil, nil, err
+	}
+	full := &runs
+	if runs.ticks == nil {
+		full = nil // the rows came from the trace cache: no runs to reuse
+	}
+	traces, err := p.collectTraces(runs.jobs, full)
+	if err != nil {
+		return nil, nil, err
+	}
+	return p, traces, nil
+}
+
+// trainRuns is what Train's simulation of the training set yields
+// besides the model: the jobs, each job's full-design feature row and
+// tick count. ticks is nil when X came from the trace cache.
+type trainRuns struct {
+	jobs  []accel.Job
+	X     [][]float64
+	ticks []uint64
+}
+
+func train(spec accel.Spec, opt Options) (*Predictor, trainRuns, error) {
 	if err := spec.Validate(); err != nil {
-		return nil, err
+		return nil, trainRuns{}, err
 	}
 	m := spec.Build()
 	// Lint before instrumenting (which appends witness hardware in
@@ -150,19 +188,19 @@ func Train(spec accel.Spec, opt Options) (*Predictor, error) {
 	a := analyze.Analyze(m)
 	if !opt.SkipLint {
 		if rep := lint.RunAnalyzed(m, a, lint.Config{}); rep.HasErrors() {
-			return nil, fmt.Errorf("core: %s failed pre-train lint: %w", spec.Name, rep.Err())
+			return nil, trainRuns{}, fmt.Errorf("core: %s failed pre-train lint: %w", spec.Name, rep.Err())
 		}
 	}
 	ins, err := instrument.WithAnalysis(m, a)
 	if err != nil {
-		return nil, fmt.Errorf("core: instrument %s: %w", spec.Name, err)
+		return nil, trainRuns{}, fmt.Errorf("core: instrument %s: %w", spec.Name, err)
 	}
 	jobs := opt.TrainJobs
 	if jobs == nil {
 		jobs = spec.TrainJobs(opt.Seed)
 	}
 	if len(jobs) < 8 {
-		return nil, fmt.Errorf("core: %s: %d training jobs is too few", spec.Name, len(jobs))
+		return nil, trainRuns{}, fmt.Errorf("core: %s: %d training jobs is too few", spec.Name, len(jobs))
 	}
 
 	// RTL simulation of the training set: features + execution time.
@@ -177,7 +215,7 @@ func Train(spec accel.Spec, opt Options) (*Predictor, error) {
 	// witness register, but with proven-constant logic folded away.
 	fullM, featRegs, hints, err := bindFull(ins, analyze.BatchHints(a))
 	if err != nil {
-		return nil, err
+		return nil, trainRuns{}, err
 	}
 	// Static cycle bounds of the instrumented design double as a free
 	// engine-bug tripwire: any observed run outside the provable
@@ -201,6 +239,7 @@ func Train(spec accel.Spec, opt Options) (*Predictor, error) {
 	sim := rtl.NewSim(fullM)
 	var X [][]float64
 	var y []float64
+	var ticks []uint64
 	var cacheKey string
 	if c := TraceCache(); c != nil {
 		cacheKey = trainKey(&spec, rtl.Fingerprint(ins.M), jobs)
@@ -213,20 +252,22 @@ func Train(spec accel.Spec, opt Options) (*Predictor, error) {
 		simJobs.Add(uint64(len(jobs)))
 		X = make([][]float64, len(jobs))
 		y = make([]float64, len(jobs))
+		ticks = make([]uint64, len(jobs))
 		newState := func() *rtl.Sim { return sim.Clone() }
 		runJob := func(s *rtl.Sim, i, attempt int) error {
 			if err := FaultInjector().ErrN(FaultJob, fmt.Sprintf("train/%s/%d", spec.Name, i), attempt); err != nil {
 				return fmt.Errorf("core: %s train job %d: %w", spec.Name, i, err)
 			}
-			ticks, err := accel.RunJob(s, jobs[i], spec.MaxTicks)
+			t, err := accel.RunJob(s, jobs[i], spec.MaxTicks)
 			if err != nil {
 				return fmt.Errorf("core: %s train job %d: %w", spec.Name, i, err)
 			}
-			if err := checkTicks(i, ticks); err != nil {
+			if err := checkTicks(i, t); err != nil {
 				return err
 			}
 			X[i] = readFeats(s)
-			y[i] = spec.Seconds(ticks)
+			y[i] = spec.Seconds(t)
+			ticks[i] = t
 			return nil
 		}
 		if rtl.DefaultEngine() == rtl.EngineBatch {
@@ -256,18 +297,19 @@ func Train(spec accel.Spec, opt Options) (*Predictor, error) {
 					}
 					batchedJobs.Add(uint64(len(packed)))
 					bs := plan.NewBatchSim(len(packed))
-					ticks, jerrs := accel.RunJobs(bs, batch, spec.MaxTicks)
+					lt, jerrs := accel.RunJobs(bs, batch, spec.MaxTicks)
 					for l, i := range packed {
 						if jerrs[l] != nil {
 							errs[i-lo] = fmt.Errorf("core: %s train job %d: %w", spec.Name, i, jerrs[l])
 							continue
 						}
-						if berr := checkTicks(i, ticks[l]); berr != nil {
+						if berr := checkTicks(i, lt[l]); berr != nil {
 							errs[i-lo] = berr
 							continue
 						}
 						X[i] = readFeats(bs.Lane(l))
-						y[i] = spec.Seconds(ticks[l])
+						y[i] = spec.Seconds(lt[l])
+						ticks[i] = lt[l]
 					}
 					return errs
 				})
@@ -275,7 +317,7 @@ func Train(spec accel.Spec, opt Options) (*Predictor, error) {
 			err = runParallel(len(jobs), newState, runJob)
 		}
 		if err != nil {
-			return nil, err
+			return nil, trainRuns{}, err
 		}
 		if c := TraceCache(); c != nil {
 			c.Put(cacheKey, trainArtifact{X: X, Y: y}) // best effort; tracked in Stats
@@ -288,7 +330,7 @@ func Train(spec accel.Spec, opt Options) (*Predictor, error) {
 	}
 	p, gamma, err := model.SelectGamma(X, y, 0.25, cfg, opt.Gammas)
 	if err != nil {
-		return nil, fmt.Errorf("core: %s: %w", spec.Name, err)
+		return nil, trainRuns{}, fmt.Errorf("core: %s: %w", spec.Name, err)
 	}
 	kept := p.NonZero()
 	if len(kept) == 0 {
@@ -305,7 +347,7 @@ func Train(spec accel.Spec, opt Options) (*Predictor, error) {
 	}
 	sl, err := slice.Slice(ins, kept, so)
 	if err != nil {
-		return nil, fmt.Errorf("core: %s: %w", spec.Name, err)
+		return nil, trainRuns{}, fmt.Errorf("core: %s: %w", spec.Name, err)
 	}
 
 	pred := &Predictor{
@@ -324,7 +366,7 @@ func Train(spec accel.Spec, opt Options) (*Predictor, error) {
 		fullFeatRegs: featRegs,
 		batchHints:   hints,
 	}
-	return pred, nil
+	return pred, trainRuns{jobs: jobs, X: X, ticks: ticks}, nil
 }
 
 // liveModel pairs a hot-swapped β with its monotonically increasing
@@ -462,12 +504,21 @@ func (js *JobSimulator) Engine() rtl.Engine { return js.slice.Engine() }
 // hardware slice, returning its complete trace (ground-truth cycles
 // plus the slice-driven prediction).
 func (js *JobSimulator) Trace(job accel.Job) (JobTrace, error) {
-	simJobs.Add(2) // the full design and the slice each run once
+	simJobs.Add(1)
 	p := js.p
 	ticks, err := accel.RunJob(js.full, job, p.Spec.MaxTicks)
 	if err != nil {
 		return JobTrace{}, fmt.Errorf("core: %s job: %w", p.Spec.Name, err)
 	}
+	return js.traceSlice(job, ticks, p.readFullFeatures(js.full))
+}
+
+// traceSlice completes the trace of a job whose full-design run already
+// finished with the given ticks and feature values: it runs the slice
+// only.
+func (js *JobSimulator) traceSlice(job accel.Job, ticks uint64, fullFeats []float64) (JobTrace, error) {
+	simJobs.Add(1)
+	p := js.p
 	sliceTicks, err := accel.RunJob(js.slice, job, p.Spec.MaxTicks)
 	if err != nil {
 		return JobTrace{}, fmt.Errorf("core: %s slice job: %w", p.Spec.Name, err)
@@ -475,17 +526,16 @@ func (js *JobSimulator) Trace(job accel.Job) (JobTrace, error) {
 	if err := p.checkObserved(ticks, sliceTicks); err != nil {
 		return JobTrace{}, err
 	}
-	return p.buildTrace(job, ticks, sliceTicks, js.full, js.slice), nil
+	return p.buildTrace(job, ticks, sliceTicks, fullFeats, p.Slice.ReadFeatures(js.slice)), nil
 }
 
 // buildTrace assembles one JobTrace from a finished full-design run and
-// a finished slice run, reading the witness registers through any
-// register reader — a scalar Sim or one lane of a batch simulator —
-// so the scalar and batched collection paths produce byte-identical
-// traces by construction.
-func (p *Predictor) buildTrace(job accel.Job, ticks, sliceTicks uint64, full, sl rtl.RegReader) JobTrace {
-	sliceFeats := p.Slice.ReadFeatures(sl)
-	fullFeats := p.readFullFeatures(full)
+// a finished slice run, given as tick counts and feature values (the
+// full design's in catalog order, the slice's aligned with Kept). Every
+// collection path — scalar, batch lanes, or Train's own full-design
+// runs — goes through it, so their traces are byte-identical by
+// construction.
+func (p *Predictor) buildTrace(job accel.Job, ticks, sliceTicks uint64, fullFeats, sliceFeats []float64) JobTrace {
 	var items float64
 	for fi, f := range p.Ins.Features {
 		if f.Kind == instrument.IC && fullFeats[fi] > items {
@@ -550,6 +600,12 @@ func (js *JobSimulator) Execute(job accel.Job) (JobTrace, error) {
 // SetWorkers), each with a private JobSimulator; trace slots are
 // index-addressed, so the result is byte-identical to a serial run.
 func (p *Predictor) CollectTraces(jobs []accel.Job) ([]JobTrace, error) {
+	return p.collectTraces(jobs, nil)
+}
+
+// collectTraces is CollectTraces; full, when non-nil, holds every job's
+// finished full-design run (Train's), so only the slices run.
+func (p *Predictor) collectTraces(jobs []accel.Job, full *trainRuns) ([]JobTrace, error) {
 	var cacheKey string
 	if c := TraceCache(); c != nil {
 		cacheKey = traceKey(p, jobs)
@@ -563,15 +619,24 @@ func (p *Predictor) CollectTraces(jobs []accel.Job) ([]JobTrace, error) {
 		if err := FaultInjector().ErrN(FaultJob, fmt.Sprintf("traces/%s/%d", p.Spec.Name, i), attempt); err != nil {
 			return fmt.Errorf("core: job %d: %w", i, err)
 		}
-		tr, err := js.Trace(jobs[i])
+		var tr JobTrace
+		var err error
+		if full != nil {
+			tr, err = js.traceSlice(jobs[i], full.ticks[i], full.X[i])
+		} else {
+			tr, err = js.Trace(jobs[i])
+		}
 		if err != nil {
 			return fmt.Errorf("core: job %d: %w", i, err)
 		}
 		traces[i] = tr
 		return nil
 	}
+	// With Train's runs in hand only the slices run, a few percent of
+	// the full design's cost, so they stay on scalar clones under every
+	// engine.
 	var err error
-	if rtl.DefaultEngine() == rtl.EngineBatch {
+	if full == nil && rtl.DefaultEngine() == rtl.EngineBatch {
 		// Batched fan-out: each chunk runs the instrumented design and
 		// the slice once for all its lanes. Fault injection happens per
 		// job before lane packing (same keys and attempt numbers as the
@@ -617,7 +682,8 @@ func (p *Predictor) CollectTraces(jobs []accel.Job) ([]JobTrace, error) {
 						errs[i-lo] = fmt.Errorf("core: job %d: %w", i, berr)
 						continue
 					}
-					traces[i] = p.buildTrace(jobs[i], ticks[l], sliceTicks[l], fbs.Lane(l), sbs.Lane(l))
+					traces[i] = p.buildTrace(jobs[i], ticks[l], sliceTicks[l],
+						p.readFullFeatures(fbs.Lane(l)), p.Slice.ReadFeatures(sbs.Lane(l)))
 				}
 				return errs
 			})

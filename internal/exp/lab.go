@@ -99,11 +99,7 @@ func (l *Lab) build(name string) (*Entry, error) {
 		trainJobs = trim(trainJobs, 60)
 		testJobs = trim(testJobs, 60)
 	}
-	pred, err := core.Train(spec, core.Options{Seed: l.Seed, TrainJobs: trainJobs})
-	if err != nil {
-		return nil, err
-	}
-	trainTr, err := pred.CollectTraces(trainJobs)
+	pred, trainTr, err := core.TrainWithTraces(spec, core.Options{Seed: l.Seed, TrainJobs: trainJobs})
 	if err != nil {
 		return nil, err
 	}
@@ -112,7 +108,6 @@ func (l *Lab) build(name string) (*Entry, error) {
 		return nil, err
 	}
 
-	fullStats := rtl.Stats(pred.Ins.M)
 	// Instrumentation witnesses for UNUSED features would not be taped
 	// out; the shipped accelerator carries only the kept witnesses, so
 	// cost the baseline as the clean design.
@@ -135,7 +130,6 @@ func (l *Lab) build(name string) (*Entry, error) {
 	sliceParams.MemFraction = 0.1 // slices are logic-dominated
 	spm := power.FromStats(sliceLogic, sliceParams)
 
-	_ = fullStats
 	return &Entry{
 		Pred:       pred,
 		Train:      trainTr,

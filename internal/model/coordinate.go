@@ -9,18 +9,11 @@ import "math"
 // production path uses proximal gradients; on symmetric problems the
 // two must agree, and the tests enforce it.)
 func FitCD(X [][]float64, y []float64, gamma float64, sweeps int) (*Predictor, error) {
-	n := len(X)
-	if n == 0 || n != len(y) {
-		return nil, ErrBadShape
+	dz, err := newDesign(X, len(y))
+	if err != nil {
+		return nil, err
 	}
-	d := len(X[0])
-	for _, row := range X {
-		if len(row) != d {
-			return nil, ErrBadShape
-		}
-	}
-	st := standardize(X)
-	Z := st.apply(X)
+	n, d, st := dz.n, dz.d, dz.st
 
 	// Precompute column norms; residual maintained incrementally. After
 	// standardization a live column has colSq ≈ n, so anything orders of
@@ -28,8 +21,8 @@ func FitCD(X [][]float64, y []float64, gamma float64, sweeps int) (*Predictor, e
 	// update by it would manufacture enormous coefficients from rounding
 	// noise. Zero such columns out entirely.
 	colSq := make([]float64, d)
-	for _, row := range Z {
-		for j, v := range row {
+	for j := range colSq {
+		for _, v := range dz.col(j) {
 			colSq[j] += v * v
 		}
 	}
@@ -65,9 +58,10 @@ func FitCD(X [][]float64, y []float64, gamma float64, sweeps int) (*Predictor, e
 				continue
 			}
 			// rho = Z_jᵀ(r + Z_j w_j): the partial residual correlation.
+			col := dz.col(j)
 			var rho float64
-			for i := range Z {
-				rho += Z[i][j] * r[i]
+			for i, z := range col {
+				rho += z * r[i]
 			}
 			rho += colSq[j] * w[j]
 			// Soft-threshold update for (1/1)·‖r‖² + γ‖w‖₁ scaling:
@@ -75,8 +69,8 @@ func FitCD(X [][]float64, y []float64, gamma float64, sweeps int) (*Predictor, e
 			// w_j = S(rho, γ/2) / colSq[j].
 			newW := softThreshold(rho, gamma/2) / colSq[j]
 			if delta := newW - w[j]; delta != 0 {
-				for i := range Z {
-					r[i] -= Z[i][j] * delta
+				for i, z := range col {
+					r[i] -= z * delta
 				}
 				if ad := math.Abs(delta); ad > maxDelta {
 					maxDelta = ad

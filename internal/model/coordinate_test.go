@@ -32,8 +32,7 @@ func TestSolversAgreeOnSymmetricProblems(t *testing.T) {
 		}
 		// Compare via the objective value (coefficients can differ
 		// slightly under correlated columns at equal objective).
-		st := standardize(X)
-		Z := st.apply(X)
+		st, Z := refStandardized(X)
 		toStd := func(p *Predictor) ([]float64, float64) {
 			w := make([]float64, d)
 			b0 := p.Intercept
@@ -45,8 +44,8 @@ func TestSolversAgreeOnSymmetricProblems(t *testing.T) {
 		}
 		wF, bF := toStd(fista)
 		wC, bC := toStd(cd)
-		objF := objective(Z, y, wF, bF, 1, gamma)
-		objC := objective(Z, y, wC, bC, 1, gamma)
+		objF := refObjective(Z, y, wF, bF, 1, gamma)
+		objC := refObjective(Z, y, wC, bC, 1, gamma)
 		rel := math.Abs(objF-objC) / (math.Abs(objC) + 1)
 		if rel > 1e-3 {
 			t.Errorf("trial %d (gamma=%v): objectives differ: fista=%.8g cd=%.8g (rel %.2g)",

@@ -258,8 +258,7 @@ func TestSolversAgreePerturbedScales(t *testing.T) {
 		assertFinite(t, pc)
 
 		// Compare achieved objectives in the shared standardized space.
-		st := standardize(X)
-		Z := st.apply(X)
+		st, Z := refStandardized(X)
 		obj := func(p *Predictor) float64 {
 			w := make([]float64, d)
 			b0 := p.Intercept
@@ -267,7 +266,7 @@ func TestSolversAgreePerturbedScales(t *testing.T) {
 				w[j] = p.Coef[j] * st.sigma[j]
 				b0 += p.Coef[j] * st.mu[j]
 			}
-			return objective(Z, y, w, b0, 1, gamma)
+			return refObjective(Z, y, w, b0, 1, gamma)
 		}
 		of, oc := obj(pf), obj(pc)
 		ref := math.Max(math.Abs(of), math.Abs(oc))

@@ -10,7 +10,9 @@ import (
 // solver ever panics, and whenever a solver returns a nil error the
 // resulting β is entirely finite and predicts finite values on the
 // training rows — bad input may be rejected, but it may never produce
-// a silently poisoned model.
+// a silently poisoned model. The FISTA fit must also equal the
+// row-major reference solver (oracle_test.go) bit for bit, cold and
+// warm-started from its own result.
 //
 // Byte layout: data[0] picks the column count (1..6); the rest is
 // consumed in 2-byte big-endian chunks, each decoding to one cell in
@@ -80,8 +82,16 @@ func FuzzModelFit(f *testing.F) {
 				}
 			}
 		}
-		p, err := Fit(X, y, Config{Alpha: alpha, Gamma: gamma, MaxIter: 300})
+		cfg := Config{Alpha: alpha, Gamma: gamma, MaxIter: 300}
+		p, err := Fit(X, y, cfg)
 		check("fista", p, err)
+		want, werr := refFit(X, y, cfg, nil)
+		sameFit(t, "fista vs reference", p, err, want, werr)
+		if err == nil {
+			warm, werr := FitWarm(X, y, cfg, p)
+			want, rerr := refFit(X, y, cfg, p)
+			sameFit(t, "warm fista vs reference", warm, werr, want, rerr)
+		}
 		p, err = FitCD(X, y, gamma, 50)
 		check("cd", p, err)
 	})

@@ -82,7 +82,7 @@ var ErrBadShape = errors.New("model: inconsistent training data shape")
 // Fit trains a predictor on the design matrix X (rows = jobs, columns =
 // features) and target vector y (execution times).
 func Fit(X [][]float64, y []float64, cfg Config) (*Predictor, error) {
-	return fit(X, y, cfg, nil)
+	return FitWarm(X, y, cfg, nil)
 }
 
 // FitWarm trains like Fit but starts FISTA from the coefficients of an
@@ -92,13 +92,42 @@ func Fit(X [][]float64, y []float64, cfg Config) (*Predictor, error) {
 // far fewer iterations. init must have exactly one coefficient per
 // column of X; a nil init is equivalent to Fit.
 func FitWarm(X [][]float64, y []float64, cfg Config, init *Predictor) (*Predictor, error) {
-	return fit(X, y, cfg, init)
+	dz, err := newDesign(X, len(y))
+	if err != nil {
+		return nil, err
+	}
+	return dz.fit(y, cfg, init)
 }
 
-func fit(X [][]float64, y []float64, cfg Config, init *Predictor) (*Predictor, error) {
+// design is a training matrix standardized once and stored column by
+// column. Every FISTA fit over the same rows — the whole γ path of
+// SelectGamma — shares one design: its standardization, its λmax(ZᵀZ)
+// and its column-major layout, in which Zw touches only the columns of
+// non-zero coefficients and Zᵀg is one dot per column.
+//
+// The column-major kernels are bit-identical to row-by-row dots: each
+// row's and each column's sum keeps its order and its acc += z·w shape.
+// A sum that starts at +0 never becomes −0 under round-to-nearest, so
+// adding 0·z for a finite z changes nothing and a zero coefficient's
+// column can be skipped. A column holding a non-finite value is never
+// skipped (0·Inf is NaN).
+type design struct {
+	n, d int
+	st   scaler
+	// z holds the standardized matrix; column j is z[j*n : (j+1)*n].
+	z []float64
+	// nonFinite marks columns holding a non-finite standardized value.
+	nonFinite []bool
+	// lam caches λmax(ZᵀZ) once lamSet; see lambda.
+	lam    float64
+	lamSet bool
+}
+
+// newDesign validates X against a target count and standardizes it.
+func newDesign(X [][]float64, targets int) (*design, error) {
 	n := len(X)
-	if n == 0 || n != len(y) {
-		return nil, fmt.Errorf("%w: %d rows, %d targets", ErrBadShape, n, len(y))
+	if n == 0 || n != targets {
+		return nil, fmt.Errorf("%w: %d rows, %d targets", ErrBadShape, n, targets)
 	}
 	d := len(X[0])
 	for _, row := range X {
@@ -106,6 +135,180 @@ func fit(X [][]float64, y []float64, cfg Config, init *Predictor) (*Predictor, e
 			return nil, fmt.Errorf("%w: ragged rows", ErrBadShape)
 		}
 	}
+	dz := &design{n: n, d: d, st: standardize(X), z: make([]float64, n*d), nonFinite: make([]bool, d)}
+	for j := 0; j < d; j++ {
+		mu, sigma := dz.st.mu[j], dz.st.sigma[j]
+		if !(sigma > 0) {
+			continue // dropped column: all zeros
+		}
+		col := dz.col(j)
+		for i, row := range X {
+			v := (row[j] - mu) / sigma
+			col[i] = v
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				dz.nonFinite[j] = true
+			}
+		}
+	}
+	return dz, nil
+}
+
+func (dz *design) col(j int) []float64 { return dz.z[j*dz.n : (j+1)*dz.n] }
+
+// mulVec computes out = Zw, column by column, two live columns per
+// pass over out: out[i] + z0·w0 + z1·w1 is the same pair of roundings
+// as two separate passes.
+func (dz *design) mulVec(w, out []float64) {
+	out = out[:dz.n]
+	clear(out)
+	pending := -1
+	for j, wj := range w {
+		if wj == 0 && !dz.nonFinite[j] {
+			continue
+		}
+		if pending < 0 {
+			pending = j
+			continue
+		}
+		c0, c1, w0 := dz.col(pending)[:len(out)], dz.col(j)[:len(out)], w[pending]
+		for i := range out {
+			out[i] = out[i] + c0[i]*w0 + c1[i]*wj
+		}
+		pending = -1
+	}
+	if pending >= 0 {
+		c, w0 := dz.col(pending)[:len(out)], w[pending]
+		for i := range out {
+			out[i] += c[i] * w0
+		}
+	}
+}
+
+// mulTVec computes out = Zᵀg as one dot per column. Finite columns go
+// four at a time: each keeps its own accumulator and order, and the
+// four independent sums overlap in the pipeline. A zero g[i] adds
+// nothing to a finite column; on a non-finite one it is skipped, as a
+// row-by-row Zᵀg skips zero rows.
+func (dz *design) mulTVec(g, out []float64) {
+	g = g[:dz.n]
+	for j := 0; j < dz.d; {
+		if j+4 <= dz.d && !(dz.nonFinite[j] || dz.nonFinite[j+1] || dz.nonFinite[j+2] || dz.nonFinite[j+3]) {
+			c0, c1, c2, c3 := dz.col(j)[:len(g)], dz.col(j + 1)[:len(g)], dz.col(j + 2)[:len(g)], dz.col(j + 3)[:len(g)]
+			var s0, s1, s2, s3 float64
+			for i, gi := range g {
+				s0 += c0[i] * gi
+				s1 += c1[i] * gi
+				s2 += c2[i] * gi
+				s3 += c3[i] * gi
+			}
+			out[j], out[j+1], out[j+2], out[j+3] = s0, s1, s2, s3
+			j += 4
+			continue
+		}
+		skipZero := dz.nonFinite[j]
+		var s float64
+		for i, z := range dz.col(j) {
+			if g[i] != 0 || !skipZero {
+				s += z * g[i]
+			}
+		}
+		out[j] = s
+		j++
+	}
+}
+
+// residual fills r with Zw + b0 − y.
+func (dz *design) residual(y, w []float64, b0 float64, r []float64) {
+	dz.mulVec(w, r)
+	for i := range r {
+		r[i] = r[i] + b0 - y[i]
+	}
+}
+
+// objective computes the full training objective; scratch holds n
+// values and is overwritten.
+func (dz *design) objective(y, w []float64, b0, alpha, gamma float64, scratch []float64) float64 {
+	dz.residual(y, w, b0, scratch)
+	var s float64
+	for _, r := range scratch {
+		if r > 0 {
+			s += r * r
+		} else {
+			s += alpha * r * r
+		}
+	}
+	for _, c := range w {
+		s += gamma * math.Abs(c)
+	}
+	return s
+}
+
+// lambda returns λmax(ZᵀZ), estimated by 60 power iterations on first
+// use and shared by every later fit on this design.
+func (dz *design) lambda() float64 {
+	if !dz.lamSet {
+		dz.lam, dz.lamSet = dz.powerIter(60), true
+	}
+	return dz.lam
+}
+
+// powerIter estimates λmax(ZᵀZ) by power iteration.
+func (dz *design) powerIter(iters int) float64 {
+	if dz.d == 0 {
+		return 0
+	}
+	v := make([]float64, dz.d)
+	for j := range v {
+		v[j] = 1 / math.Sqrt(float64(dz.d))
+	}
+	zv := make([]float64, dz.n)
+	ztzv := make([]float64, dz.d)
+	lam := 0.0
+	for it := 0; it < iters; it++ {
+		dz.mulVec(v, zv)
+		dz.mulTVec(zv, ztzv)
+		norm := math.Sqrt(dot(ztzv, ztzv))
+		if norm == 0 {
+			return 0
+		}
+		for j := range v {
+			v[j] = ztzv[j] / norm
+		}
+		lam = norm
+	}
+	return lam
+}
+
+// gammas builds DefaultGammas' path for targets y.
+func (dz *design) gammas(y []float64) []float64 {
+	// γ_max ≈ 2·max_j |Z_jᵀ y_c| zeroes all coefficients for plain
+	// lasso; the asymmetric weight only increases it, so this is a good
+	// upper anchor.
+	ym := mean(y)
+	gmax := 0.0
+	for j := 0; j < dz.d; j++ {
+		var s float64
+		for i, z := range dz.col(j) {
+			s += z * (y[i] - ym)
+		}
+		if a := 2 * math.Abs(s); a > gmax {
+			gmax = a
+		}
+	}
+	if gmax == 0 {
+		gmax = 1
+	}
+	var gs []float64
+	for f := 1.0; f > 1e-5; f /= 3.2 {
+		gs = append(gs, gmax*f)
+	}
+	gs = append(gs, 0)
+	return gs
+}
+
+// fit runs FISTA on this design for targets y (one per row).
+func (dz *design) fit(y []float64, cfg Config, init *Predictor) (*Predictor, error) {
+	n, d, st := dz.n, dz.d, dz.st
 	if init != nil && len(init.Coef) != d {
 		return nil, fmt.Errorf("%w: warm start has %d coefficients, data has %d columns", ErrBadShape, len(init.Coef), d)
 	}
@@ -124,8 +327,6 @@ func fit(X [][]float64, y []float64, cfg Config, init *Predictor) (*Predictor, e
 		cfg.Tol = DefaultConfig().Tol
 	}
 
-	st := standardize(X)
-	Z := st.apply(X)
 	// Center the target; the intercept in standardized space is trained
 	// as an explicit unpenalized coordinate starting from mean(y).
 	w := make([]float64, d)
@@ -157,39 +358,38 @@ func fit(X [][]float64, y []float64, cfg Config, init *Predictor) (*Predictor, e
 
 	// Lipschitz constant of the smooth part: 2·max(1,α)·λmax(AᵀA) where
 	// A is Z with an all-ones intercept column.
-	lam := powerIterLambda(Z, 60)
-	L := 2 * cfg.Alpha * (lam + float64(n)) // +n bounds the intercept column's contribution
+	L := 2 * cfg.Alpha * (dz.lambda() + float64(n)) // +n bounds the intercept column's contribution
 	if L <= 0 || math.IsNaN(L) {
 		L = 1
 	}
 	step := 1 / (1.1 * L)
 
+	// FISTA state. r doubles as the objective's scratch: the residual
+	// rewrites it at the top of every iteration.
+	r := make([]float64, n)
+	g := make([]float64, n)
+	gradW := make([]float64, d)
+	yw := make([]float64, d)
 	obj := func(w []float64, b0 float64) float64 {
-		return objective(Z, y, w, b0, cfg.Alpha, cfg.Gamma)
+		return dz.objective(y, w, b0, cfg.Alpha, cfg.Gamma, r)
 	}
-
-	// FISTA state.
 	wPrev := append([]float64(nil), w...)
 	b0Prev := b0
 	tk := 1.0
 	prevObj := obj(w, b0)
 	iters := 0
-	r := make([]float64, n)
-	g := make([]float64, n)
-	gradW := make([]float64, d)
 
 	for iters = 1; iters <= cfg.MaxIter; iters++ {
 		// Extrapolated point.
 		tNext := (1 + math.Sqrt(1+4*tk*tk)) / 2
 		beta := (tk - 1) / tNext
-		yw := make([]float64, d)
 		for j := range yw {
 			yw[j] = w[j] + beta*(w[j]-wPrev[j])
 		}
 		yb0 := b0 + beta*(b0-b0Prev)
 
 		// Gradient of the smooth part at the extrapolated point.
-		residual(Z, y, yw, yb0, r)
+		dz.residual(y, yw, yb0, r)
 		var gradB0 float64
 		for i := range r {
 			if r[i] > 0 {
@@ -199,7 +399,7 @@ func fit(X [][]float64, y []float64, cfg Config, init *Predictor) (*Predictor, e
 			}
 			gradB0 += g[i]
 		}
-		matTVec(Z, g, gradW)
+		dz.mulTVec(g, gradW)
 
 		// Proximal step: soft threshold on w, plain step on intercept.
 		copy(wPrev, w)
@@ -261,30 +461,6 @@ func (p *Predictor) checkFinite() error {
 	return nil
 }
 
-// objective computes the full training objective.
-func objective(Z [][]float64, y, w []float64, b0, alpha, gamma float64) float64 {
-	var s float64
-	for i := range Z {
-		r := dot(Z[i], w) + b0 - y[i]
-		if r > 0 {
-			s += r * r
-		} else {
-			s += alpha * r * r
-		}
-	}
-	for _, c := range w {
-		s += gamma * math.Abs(c)
-	}
-	return s
-}
-
-// residual fills r with Zw + b0 − y.
-func residual(Z [][]float64, y, w []float64, b0 float64, r []float64) {
-	for i := range Z {
-		r[i] = dot(Z[i], w) + b0 - y[i]
-	}
-}
-
 func softThreshold(v, t float64) float64 {
 	switch {
 	case v > t:
@@ -302,53 +478,6 @@ func dot(a, b []float64) float64 {
 		s += a[i] * b[i]
 	}
 	return s
-}
-
-// matTVec computes out = Zᵀ g.
-func matTVec(Z [][]float64, g []float64, out []float64) {
-	for j := range out {
-		out[j] = 0
-	}
-	for i := range Z {
-		gi := g[i]
-		if gi == 0 {
-			continue
-		}
-		row := Z[i]
-		for j := range row {
-			out[j] += row[j] * gi
-		}
-	}
-}
-
-// powerIterLambda estimates λmax(ZᵀZ) by power iteration.
-func powerIterLambda(Z [][]float64, iters int) float64 {
-	if len(Z) == 0 || len(Z[0]) == 0 {
-		return 0
-	}
-	d := len(Z[0])
-	v := make([]float64, d)
-	for j := range v {
-		v[j] = 1 / math.Sqrt(float64(d))
-	}
-	zv := make([]float64, len(Z))
-	ztzv := make([]float64, d)
-	lam := 0.0
-	for it := 0; it < iters; it++ {
-		for i := range Z {
-			zv[i] = dot(Z[i], v)
-		}
-		matTVec(Z, zv, ztzv)
-		norm := math.Sqrt(dot(ztzv, ztzv))
-		if norm == 0 {
-			return 0
-		}
-		for j := range v {
-			v[j] = ztzv[j] / norm
-		}
-		lam = norm
-	}
-	return lam
 }
 
 // scaler holds per-column standardization parameters.
@@ -379,7 +508,7 @@ func standardize(X [][]float64) scaler {
 		// A non-finite mean or spread (an Inf/NaN cell anywhere in the
 		// column) poisons every standardized value; such a column carries
 		// no usable signal, so it is dropped the same way a constant one
-		// is: sigma 0 means apply() zeroes it and the back-transform
+		// is: sigma 0 means newDesign zeroes it and the back-transform
 		// skips it.
 		if math.IsNaN(s) || math.IsInf(s, 0) || math.IsNaN(st.mu[j]) || math.IsInf(st.mu[j], 0) {
 			st.mu[j], st.sigma[j] = 0, 0
@@ -394,20 +523,6 @@ func standardize(X [][]float64) scaler {
 		st.sigma[j] = s
 	}
 	return st
-}
-
-func (st scaler) apply(X [][]float64) [][]float64 {
-	Z := make([][]float64, len(X))
-	for i, row := range X {
-		z := make([]float64, len(row))
-		for j, v := range row {
-			if st.sigma[j] > 0 {
-				z[j] = (v - st.mu[j]) / st.sigma[j]
-			}
-		}
-		Z[i] = z
-	}
-	return Z
 }
 
 func mean(y []float64) float64 {

