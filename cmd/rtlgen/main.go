@@ -1,7 +1,8 @@
 // Command rtlgen pre-generates the native (codegen) simulators that
 // internal/rtl/native registers at init. For every benchmark in the
 // suite it translates the netlist shapes the production flows actually
-// simulate into specialized straight-line Go via internal/rtl/codegen:
+// simulate into specialized multi-cycle Go run functions (run_<shape>,
+// the rtl.NativeRun contract) via internal/rtl/codegen:
 //
 //   - the raw spec netlist (testbench and differential-test runs),
 //   - the instrumented design (the full-design simulator when pruning
@@ -149,7 +150,7 @@ func genFile(bench string, vars []variant, seen map[string]string) ([]byte, int,
 		}
 		seen[fp] = v.name
 		kept++
-		fn := "step_" + v.name
+		fn := "run_" + v.name
 		body.WriteString(codegen.EmitFunc(codegen.Build(v.m), fn))
 		body.WriteString("\n")
 		regs = append(regs, reg{fp, v.name, fn})

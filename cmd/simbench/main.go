@@ -24,11 +24,13 @@
 //     slice per job, the work core.CollectTraces does) per benchmark:
 //     scalar compiled jobs/s vs batched jobs/s vs native jobs/s and
 //     their ratios,
-//  4. the wall-clock of dvfsim's offline flow — warming the full
-//     experiment lab (TrainWithTraces plus the test set's
-//     CollectTraces on all seven benchmarks, trace cache detached) — under the default native
-//     engine and under its compiled fallback, with the fallbacks each
-//     run counted (skipped with -warm=false).
+//  4. the cost of dvfsim's offline flow — warming the full experiment
+//     lab (TrainWithTraces plus the test set's CollectTraces on all
+//     seven benchmarks, trace cache detached) — under the default
+//     native engine and under its compiled fallback: suiteReps
+//     interleaved repetitions per engine, reported as the median and
+//     quartiles of wall time and of process CPU time, with the
+//     fallbacks counted (skipped with -warm=false).
 //
 // The report also records the command line, GOMAXPROCS, the worker
 // count and the default engine it ran under. -designs restricts
@@ -43,7 +45,9 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"sort"
 	"strings"
+	"syscall"
 	"time"
 
 	"repro/internal/absint"
@@ -126,14 +130,45 @@ type PruneResult struct {
 	SliceInstrPruned int     `json:"slice_instr_pruned"`
 }
 
-// SuiteResult is one timed run of the offline flow (the full seed lab's
-// TrainWithTraces plus test-set CollectTraces on every benchmark) under
-// one engine.
+// Quartiles summarizes repeated measurements: the median and the
+// quartiles around it.
+type Quartiles struct {
+	P25    float64 `json:"p25"`
+	Median float64 `json:"median"`
+	P75    float64 `json:"p75"`
+}
+
+// quartiles sorts xs in place and interpolates its quartiles linearly.
+func quartiles(xs []float64) Quartiles {
+	sort.Float64s(xs)
+	at := func(q float64) float64 {
+		pos := q * float64(len(xs)-1)
+		lo := int(pos)
+		if lo+1 >= len(xs) {
+			return xs[lo]
+		}
+		return xs[lo] + (pos-float64(lo))*(xs[lo+1]-xs[lo])
+	}
+	return Quartiles{P25: at(0.25), Median: at(0.5), P75: at(0.75)}
+}
+
+// suiteReps is how many timed repetitions of the offline flow each
+// engine gets. A single wall-clock run moved by ±30% between
+// back-to-back invocations on a shared 2-vCPU host; the median of five
+// interleaved runs, next to its quartiles, shows how far to trust it.
+const suiteReps = 5
+
+// SuiteResult summarizes the timed repetitions of the offline flow (the
+// full seed lab's TrainWithTraces plus test-set CollectTraces on every
+// benchmark) under one engine. JobsSimulated is per repetition;
+// NativeFallbacks is summed over all of them.
 type SuiteResult struct {
-	Engine          string  `json:"engine"`
-	Seconds         float64 `json:"seconds"`
-	JobsSimulated   uint64  `json:"jobs_simulated"`
-	NativeFallbacks uint64  `json:"native_fallbacks"`
+	Engine          string    `json:"engine"`
+	Reps            int       `json:"reps"`
+	WallSeconds     Quartiles `json:"wall_s"`
+	CPUSeconds      Quartiles `json:"cpu_s"`
+	JobsSimulated   uint64    `json:"jobs_simulated"`
+	NativeFallbacks uint64    `json:"native_fallbacks"`
 }
 
 // Report is the BENCH_sim.json schema.
@@ -150,10 +185,12 @@ type Report struct {
 	Prune           []PruneResult      `json:"prune"`
 	WorkerSweep     []TraceResult      `json:"worker_sweep"`
 	TraceThroughput []ThroughputResult `json:"trace_throughput"`
-	// Suite times the offline flow under the default engine first, then
-	// its compiled fallback; NativeSuiteSpeedup is their ratio.
-	Suite              []SuiteResult `json:"suite"`
-	NativeSuiteSpeedup float64       `json:"native_suite_speedup"`
+	// Suite times the offline flow under the default engine and its
+	// compiled fallback; NativeSuiteSpeedup and NativeSuiteCPUSpeedup
+	// are the ratios of their median wall and CPU times.
+	Suite                 []SuiteResult `json:"suite"`
+	NativeSuiteSpeedup    float64       `json:"native_suite_speedup"`
+	NativeSuiteCPUSpeedup float64       `json:"native_suite_cpu_speedup"`
 }
 
 // engineOrder fixes the measurement and report order; interp first so
@@ -417,29 +454,19 @@ func run() error {
 		rep.TraceThroughput = append(rep.TraceThroughput, tr)
 	}
 
-	// 4. The offline flow's wall-clock (train + trace all seven
-	// benchmarks), the end-to-end number dvfsim feels, under the
-	// default engine and its compiled fallback. Like the sweep it times
-	// real simulation, so the cache is detached.
+	// 4. The offline flow (train + trace all seven benchmarks), the
+	// end-to-end work dvfsim does, under the default engine and its
+	// compiled fallback. Like the sweep it times real simulation, so
+	// the cache is detached.
 	if *warm {
 		core.SetTraceCache(nil)
-		for _, eng := range []rtl.Engine{rtl.EngineNative, rtl.EngineCompiled} {
-			if err := rtl.SetDefaultEngine(eng); err != nil {
-				return err
-			}
-			simBefore, fallBefore := core.SimulatedJobs(), rtl.NativeFallbacks()
-			start := time.Now() //detlint:allow simbench measures wall-clock throughput by design
-			if err := exp.NewLab(*seed).Warm(); err != nil {
-				return err
-			}
-			rep.Suite = append(rep.Suite, SuiteResult{
-				Engine:          string(eng),
-				Seconds:         time.Since(start).Seconds(),
-				JobsSimulated:   core.SimulatedJobs() - simBefore,
-				NativeFallbacks: rtl.NativeFallbacks() - fallBefore,
-			})
+		suite, err := measureSuite(*seed)
+		if err != nil {
+			return err
 		}
-		rep.NativeSuiteSpeedup = rep.Suite[1].Seconds / rep.Suite[0].Seconds
+		rep.Suite = suite
+		rep.NativeSuiteSpeedup = suite[1].WallSeconds.Median / suite[0].WallSeconds.Median
+		rep.NativeSuiteCPUSpeedup = suite[1].CPUSeconds.Median / suite[0].CPUSeconds.Median
 		if err := rtl.SetDefaultEngine(sweepDefault); err != nil {
 			return err
 		}
@@ -475,6 +502,63 @@ func run() error {
 	fmt.Printf("jobs batched: %d; jobs simulated: %d; native fallbacks: %d\n",
 		core.BatchedJobs(), core.SimulatedJobs(), rtl.NativeFallbacks())
 	return nil
+}
+
+// measureSuite warms a fresh experiment lab suiteReps times under the
+// native engine and under the compiled engine, interleaved and
+// alternating which engine goes first so drift in the host's speed
+// lands on both, and summarizes each engine's wall and process CPU
+// times (native first).
+func measureSuite(seed int64) ([]SuiteResult, error) {
+	engines := []rtl.Engine{rtl.EngineNative, rtl.EngineCompiled}
+	wall := make([][]float64, len(engines))
+	cpu := make([][]float64, len(engines))
+	out := make([]SuiteResult, len(engines))
+	for r := 0; r < suiteReps; r++ {
+		for k := range engines {
+			ei := (k + r) % len(engines)
+			if err := rtl.SetDefaultEngine(engines[ei]); err != nil {
+				return nil, err
+			}
+			runtime.GC()
+			simBefore, fallBefore := core.SimulatedJobs(), rtl.NativeFallbacks()
+			cpuBefore, err := processCPU()
+			if err != nil {
+				return nil, err
+			}
+			start := time.Now() //detlint:allow simbench measures wall-clock throughput by design
+			if err := exp.NewLab(seed).Warm(); err != nil {
+				return nil, err
+			}
+			secs := time.Since(start).Seconds()
+			cpuAfter, err := processCPU()
+			if err != nil {
+				return nil, err
+			}
+			wall[ei] = append(wall[ei], secs)
+			cpu[ei] = append(cpu[ei], cpuAfter-cpuBefore)
+			out[ei].JobsSimulated = core.SimulatedJobs() - simBefore
+			out[ei].NativeFallbacks += rtl.NativeFallbacks() - fallBefore
+		}
+	}
+	for ei, eng := range engines {
+		out[ei].Engine = string(eng)
+		out[ei].Reps = suiteReps
+		out[ei].WallSeconds = quartiles(wall[ei])
+		out[ei].CPUSeconds = quartiles(cpu[ei])
+	}
+	return out, nil
+}
+
+// processCPU returns the user plus system CPU time this process has
+// used so far, in seconds.
+func processCPU() (float64, error) {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0, fmt.Errorf("getrusage: %w", err)
+	}
+	sec := func(tv syscall.Timeval) float64 { return float64(tv.Sec) + float64(tv.Usec)/1e6 }
+	return sec(ru.Utime) + sec(ru.Stime), nil
 }
 
 // measurePrune compiles each benchmark's instrumented design and slice

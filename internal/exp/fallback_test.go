@@ -10,8 +10,8 @@ import (
 // TestDefaultFlowHasNoNativeFallbacks is the tripwire for a stale
 // generated-simulator registry: dvfsim's default seed-42 flow (Train
 // plus CollectTraces on all 7 benchmarks) must resolve every netlist it
-// simulates to a generated native step. A fallback still produces
-// correct tables — only ~4x slower — so without this test a netlist or
+// simulates to a generated native run function. A fallback still
+// produces correct tables — only ~7x slower — so without this test a netlist or
 // trainer change that forgot `go generate ./internal/rtl/native` would
 // go unnoticed.
 func TestDefaultFlowHasNoNativeFallbacks(t *testing.T) {

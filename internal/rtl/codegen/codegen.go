@@ -1,6 +1,6 @@
 // Package codegen translates a netlist into specialized straight-line
 // Go — the generation half of the native execution engine (the runtime
-// half is rtl's NativeStep registry).
+// half is rtl's NativeRun registry).
 //
 // The translation is Verilator's move taken one step further than the
 // compiled engine: where Compile lowers the node DAG to a flat
@@ -16,30 +16,44 @@
 // FSM state. The structural analyses already recover each design's FSM
 // (analyze) and the set of states actually reachable from reset under
 // the pinned abstract values (absint.RefinedReachable). The generated
-// step dispatches one Go switch on the latched state register and runs
-// a per-state basic block in which the state is a known constant:
-// state comparisons fold to literals, muxes they select collapse to
-// copies, and whole control cones evaluate at generation time. Dead
-// (unreachable) states get no arm at all; a default arm runs the
-// unspecialized code so the generated step stays total even if an
-// analysis bug ever produced an impossible state.
+// cycle body dispatches one Go switch on the latched state register
+// and runs a per-state basic block in which the state is a known
+// constant: state comparisons fold to literals, muxes they select
+// collapse to copies, and whole control cones evaluate at generation
+// time. Dead (unreachable) states get no arm at all; a default arm
+// runs the unspecialized code so the generated body stays total even
+// if an analysis bug ever produced an impossible state.
+//
+// The cycle body sits inside a loop that runs many cycles per call
+// with the design's state in locals. Registers (and the inputs the
+// body reads) are loaded from the value array once per call and
+// written back once at exit; combinational node values never leave
+// the loop body, and only the nodes some commit reads — Done, the
+// registers' next values, the write ports — are computed at all (the
+// plan drops every other instruction).
 //
 // Both backends consume the same Plan: the Go source emitter (emit.go,
 // used by cmd/rtlgen to produce the checked-in internal/rtl/native
 // registry) and a closure evaluator (eval.go) that executes the plan
 // directly. The evaluator exists so the differential tests and
-// FuzzEngineDifferential can check the specialization logic on
-// arbitrary random netlists without invoking the Go toolchain; the
-// emitted source for the benchmark suite is then checked bit-exact by
-// the suite differential tests, and checked fresh by CI's
-// generated-code drift gate.
+// FuzzEngineDifferential can check the specialization and pruning
+// logic on arbitrary random netlists without invoking the Go
+// toolchain; the emitted source for the benchmark suite is then
+// checked bit-exact by the suite differential tests, and checked fresh
+// by CI's generated-code drift gate.
 //
-// Bit-exactness contract: a plan step writes every node's value into
-// the value array each cycle and mirrors the interpreter's four-phase
-// cycle (combinational evaluation in SSA order, memory-write commit,
-// simultaneous register latch, caller-side toggle counting), so
-// Value/RegValue/Toggles/Mem observe state identical to the
-// interpreter on every cycle.
+// Run contract (rtl.NativeRun): starting from the register, input and
+// memory state in (vals, mems), run(vals, mems, max) simulates cycles
+// until the first cycle whose Done is high, or until max cycles have
+// committed, whichever comes first. It commits every cycle before the
+// done cycle — memory writes in port order, then the simultaneous
+// register latch — and never the done cycle itself; at exit it writes
+// the registers back into vals and returns the number of cycles
+// committed. Combinational entries of vals are neither read nor
+// written, so after a call they are stale; rtl.Sim runs the next cycle
+// (the done cycle, or the limit cycle) on the interpreter, which
+// recomputes every node and leaves state bit-identical to an
+// interpreter run.
 package codegen
 
 import (
@@ -91,7 +105,9 @@ type inst struct {
 // Plan is a netlist translated for specialized execution: a
 // state-independent prefix, optionally a per-state specialization of
 // the state-dependent suffix, and the unspecialized suffix as the
-// default arm. Immutable once built; safe to share across Sims.
+// default arm. Each list keeps its folded constants (pConst, which
+// consumers read as literals) and only the residual instructions some
+// sink needs. Immutable once built; safe to share across Sims.
 type Plan struct {
 	m *rtl.Module
 	// prefix holds the comb nodes independent of the specialized state
@@ -107,6 +123,10 @@ type Plan struct {
 	// generic is the unspecialized suffix (the default arm).
 	generic []inst
 	armOf   map[uint64]int
+	// inSuffix marks the comb nodes the arms compute (nil when no FSM
+	// is specialized). A sink in the suffix reaches the commit through
+	// a loop-scope local each arm assigns.
+	inSuffix []bool
 }
 
 // Module returns the module this plan was built from.
@@ -142,6 +162,7 @@ func Build(m *rtl.Module) *Plan {
 
 	if stateNode < 0 {
 		p.prefix = planOps(m, combNodes(m, nil), copyKnown(baseKnown))
+		p.prune()
 		return p
 	}
 
@@ -184,6 +205,7 @@ func Build(m *rtl.Module) *Plan {
 	if len(suffixIDs)*(len(states)+1) > 60000 {
 		p.stateNode = -1
 		p.prefix = planOps(m, combNodes(m, nil), copyKnown(baseKnown))
+		p.prune()
 		return p
 	}
 
@@ -200,7 +222,139 @@ func Build(m *rtl.Module) *Plan {
 		p.armOf[sv] = ai
 	}
 	p.generic = planOps(m, suffixIDs, copyKnown(prefixKnown))
+	p.inSuffix = make([]bool, len(m.Nodes))
+	for _, id := range suffixIDs {
+		p.inSuffix[id] = true
+	}
+	p.prune()
 	return p
+}
+
+// constKnown returns the literal values in scope at loop level: every
+// OpConst node plus the prefix's folded constants.
+func (p *Plan) constKnown() map[int32]uint64 {
+	known := knownIn(p.prefix)
+	for i := range p.m.Nodes {
+		if n := &p.m.Nodes[i]; n.Op == rtl.OpConst {
+			known[int32(i)] = n.Const & n.Mask()
+		}
+	}
+	return known
+}
+
+// armKnown returns the literal values in scope inside a suffix list:
+// the loop-level literals, the list's own folded constants and, for a
+// specialized arm (ai >= 0), the state register's value.
+func (p *Plan) armKnown(ai int, insts []inst) map[int32]uint64 {
+	known := knownIn(insts)
+	for k, v := range p.constKnown() { //detlint:allow scratch map, never ranged for output
+		known[k] = v
+	}
+	if ai >= 0 {
+		known[p.stateNode] = p.stateVals[ai]
+	}
+	return known
+}
+
+// suffixNode reports whether the arms compute node id.
+func (p *Plan) suffixNode(id int32) bool { return p.inSuffix != nil && p.inSuffix[id] }
+
+// sinks lists the nodes one cycle's commit reads, in a fixed order:
+// Done, every register's Next, and each write port's En followed by
+// its Addr and Data. A port whose En is a known zero in scope cannot
+// fire, so its Addr and Data are not sinks there (and the whole port
+// is dropped when En is a known zero at loop level). May repeat nodes.
+func (p *Plan) sinks(known map[int32]uint64) []int32 {
+	m := p.m
+	out := []int32{int32(m.Done)}
+	for i := range m.Regs {
+		out = append(out, int32(m.Regs[i].Next))
+	}
+	for i := range m.Writes {
+		w := &m.Writes[i]
+		out = append(out, int32(w.En))
+		if v, ok := known[int32(w.En)]; ok && v == 0 {
+			continue
+		}
+		out = append(out, int32(w.Addr), int32(w.Data))
+	}
+	return out
+}
+
+// prune drops every residual instruction whose value no sink needs,
+// keeping the folded constants (consumers read them as literals). The
+// suffix lists go first: what an arm reads from the prefix is a root
+// of the prefix's own pass.
+func (p *Plan) prune() {
+	m := p.m
+	need := make([]bool, len(m.Nodes))
+	for _, id := range p.sinks(p.constKnown()) {
+		if !p.suffixNode(id) {
+			need[id] = true
+		}
+	}
+	if p.stateNode >= 0 {
+		for ai := range p.arms {
+			p.arms[ai] = p.pruneSuffix(p.arms[ai], p.armKnown(ai, p.arms[ai]), need)
+		}
+		p.generic = p.pruneSuffix(p.generic, p.armKnown(-1, p.generic), need)
+	}
+	p.prefix = liveInsts(m, p.prefix, need)
+}
+
+// pruneSuffix prunes one suffix list from the sinks it must assign,
+// marking the prefix nodes its kept instructions read in prefixNeed.
+func (p *Plan) pruneSuffix(insts []inst, known map[int32]uint64, prefixNeed []bool) []inst {
+	need := make([]bool, len(p.m.Nodes))
+	for _, id := range p.sinks(known) {
+		if p.suffixNode(id) {
+			need[id] = true
+		}
+	}
+	kept := liveInsts(p.m, insts, need)
+	for id, n := range need {
+		if n && !p.suffixNode(int32(id)) {
+			prefixNeed[id] = true
+		}
+	}
+	return kept
+}
+
+// liveInsts walks one SSA-ordered list backwards, keeping each folded
+// constant and each instruction whose node need marks, and marking the
+// nodes a kept instruction reads (in need, which therefore also
+// collects what the list reads from outside itself).
+func liveInsts(m *rtl.Module, insts []inst, need []bool) []inst {
+	keep := make([]bool, len(insts))
+	for i := len(insts) - 1; i >= 0; i-- {
+		in := &insts[i]
+		if in.kind == pConst {
+			keep[i] = true
+			continue
+		}
+		if !need[in.dst] {
+			continue
+		}
+		keep[i] = true
+		for _, a := range in.reads(m) {
+			need[a] = true
+		}
+	}
+	out := make([]inst, 0, len(insts))
+	for i := range insts {
+		if keep[i] {
+			out = append(out, insts[i])
+		}
+	}
+	return out
+}
+
+// reads lists the nodes a residual instruction's operands name.
+func (in *inst) reads(m *rtl.Module) []int32 {
+	if in.kind != pGeneric {
+		return []int32{in.a}
+	}
+	return []int32{in.a, in.b, in.c}[:m.Nodes[in.dst].NArgs]
 }
 
 // pickFSM chooses the FSM register to specialize on: the one whose

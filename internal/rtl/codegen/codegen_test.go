@@ -1,6 +1,7 @@
 package codegen_test
 
 import (
+	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
@@ -37,50 +38,83 @@ func TestPlanSpecializesToyFSM(t *testing.T) {
 	}
 }
 
-// TestPlanStepMatchesInterpOnToy drives the plan-backed native sim and
-// the interpreter through a full Toy job — cycle count, every node
-// value on every cycle, every toggle counter, and the output memory
-// must be identical. This covers the codegen edge cases in one run:
-// memory read and write ports, FSM-state dispatch, and instrumented
-// toggle counting.
-func TestPlanStepMatchesInterpOnToy(t *testing.T) {
-	ports := testdesigns.Toy()
-	m := ports.M
-
+// runMatches runs one Sim.Run(limit) on the plan-backed native sim and
+// on the interpreter from the same loaded state and fails unless the
+// two agree on ticks, error, cycle count, every node value and every
+// memory word. Activity counting stays off, so the native sim's run
+// goes through Plan.Run for all cycles but the last.
+func runMatches(t *testing.T, m *rtl.Module, p *codegen.Plan, load func(*rtl.Sim), limit uint64) {
+	t.Helper()
 	ref := rtl.NewInterpSim(m)
-	nat := rtl.NewNativeSim(m, codegen.Build(m).Step)
+	nat := rtl.NewNativeSim(m, p.Run)
 	if got := nat.Engine(); got != rtl.EngineNative {
 		t.Fatalf("native sim reports engine %q", got)
 	}
-	for _, s := range []*rtl.Sim{ref, nat} {
-		s.EnableActivity()
+	load(ref)
+	load(nat)
+	rt, rerr := ref.Run(limit)
+	nt, nerr := nat.Run(limit)
+	if rt != nt || fmt.Sprint(rerr) != fmt.Sprint(nerr) {
+		t.Fatalf("limit %d: interp %d, %v; native %d, %v", limit, rt, rerr, nt, nerr)
+	}
+	if ref.Cycles() != nat.Cycles() {
+		t.Fatalf("limit %d: cycles interp=%d native=%d", limit, ref.Cycles(), nat.Cycles())
+	}
+	for id := range m.Nodes {
+		if rv, nv := ref.Value(rtl.NodeID(id)), nat.Value(rtl.NodeID(id)); rv != nv {
+			t.Fatalf("limit %d node %d (%s): interp=%#x native=%#x", limit, id, m.Nodes[id].Op, rv, nv)
+		}
+	}
+	for _, mem := range m.Mems {
+		rm, nm := ref.Mem(mem.Name), nat.Mem(mem.Name)
+		for a := range rm {
+			if rm[a] != nm[a] {
+				t.Fatalf("limit %d: %s[%d] interp=%#x native=%#x", limit, mem.Name, a, rm[a], nm[a])
+			}
+		}
+	}
+}
+
+// TestPlanRunMatchesInterpOnToy runs a full Toy job on the plan-backed
+// native sim at every cycle limit from 1 to one past the job's length:
+// each limit stops the run loop at a different cycle (every FSM state
+// and memory port among them), and ticks, ErrNoProgress, every node
+// value and the memories must match the interpreter's run with the
+// same limit. It also drives a whole job through Step with activity
+// counting on, the interpreter path a native sim takes when a cycle is
+// observed.
+func TestPlanRunMatchesInterpOnToy(t *testing.T) {
+	ports := testdesigns.Toy()
+	m := ports.M
+	p := codegen.Build(m)
+	load := func(s *rtl.Sim) {
 		if err := s.LoadMem("in", toyJob()); err != nil {
 			t.Fatal(err)
 		}
 	}
+	ref := rtl.NewInterpSim(m)
+	load(ref)
+	total, err := ref.Run(10000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if total < 10 {
+		t.Fatalf("Toy job took %d cycles; too short to exercise the limits", total)
+	}
+	for k := uint64(1); k <= total+1; k++ {
+		runMatches(t, m, p, load, k)
+	}
 
-	const maxCycles = 10000
-	for cycle := 0; ; cycle++ {
-		if cycle > maxCycles {
-			t.Fatal("job did not finish")
-		}
-		dr := ref.Step()
-		dn := nat.Step()
-		if dr != dn {
+	ref = rtl.NewInterpSim(m)
+	nat := rtl.NewNativeSim(m, p.Run)
+	for _, s := range []*rtl.Sim{ref, nat} {
+		s.EnableActivity()
+		load(s)
+	}
+	for cycle := uint64(0); cycle < total; cycle++ {
+		if dr, dn := ref.Step(), nat.Step(); dr != dn {
 			t.Fatalf("cycle %d: done interp=%v native=%v", cycle, dr, dn)
 		}
-		for id := range m.Nodes {
-			if rv, nv := ref.Value(rtl.NodeID(id)), nat.Value(rtl.NodeID(id)); rv != nv {
-				t.Fatalf("cycle %d node %d (%s): interp=%#x native=%#x",
-					cycle, id, m.Nodes[id].Op, rv, nv)
-			}
-		}
-		if dr {
-			break
-		}
-	}
-	if ref.Cycles() != nat.Cycles() {
-		t.Fatalf("cycles: interp=%d native=%d", ref.Cycles(), nat.Cycles())
 	}
 	rt, nt := ref.Toggles(), nat.Toggles()
 	for i := range rt {
@@ -88,31 +122,62 @@ func TestPlanStepMatchesInterpOnToy(t *testing.T) {
 			t.Fatalf("toggle[%d]: interp=%d native=%d", i, rt[i], nt[i])
 		}
 	}
-	ro, no := ref.Mem("out"), nat.Mem("out")
-	for i := range ro {
-		if ro[i] != no[i] {
-			t.Fatalf("out[%d]: interp=%#x native=%#x", i, ro[i], no[i])
+}
+
+// testDesign is a named module for the emitter and run-loop tests.
+type testDesign struct {
+	name string
+	m    *rtl.Module
+}
+
+// testDesigns is a spread of shapes: the FSM-heavy Toy, the
+// input-driven hand FSM, and lint designs with unusual structure
+// (unreachable and guarded-dead states, racing and dead write ports,
+// combinational-only logic, frozen and partially dead registers).
+func testDesigns() []testDesign {
+	hand, _ := testdesigns.HandFSM()
+	return []testDesign{
+		{"toy", testdesigns.Toy().M},
+		{"handfsm", hand},
+		{"unreachable", testdesigns.UnreachableState()},
+		{"racy", testdesigns.RacyWrites()},
+		{"deadwrite", testdesigns.DeadWrite()},
+		{"truncadd", testdesigns.TruncatingAdd()},
+		{"datawait", testdesigns.DataWaitOnly()},
+		{"guarded", testdesigns.GuardedDeadState()},
+		{"frozen", testdesigns.FrozenConstant()},
+		{"partdead", testdesigns.PartiallyDeadReg()},
+		{"skipping", testdesigns.SkippingCounter()},
+		{"idleinput", testdesigns.IdleInput()},
+	}
+}
+
+// TestPlanRunMatchesInterpOnTestDesigns checks the run loop on every
+// test design at a spread of cycle limits, with every input driven.
+func TestPlanRunMatchesInterpOnTestDesigns(t *testing.T) {
+	for _, d := range testDesigns() {
+		p := codegen.Build(d.m)
+		drive := func(s *rtl.Sim) {
+			for id := range d.m.Nodes {
+				if d.m.Nodes[id].Op == rtl.OpInput {
+					s.SetInput(rtl.NodeID(id), 0x5a5a_a5a5_5a5a_a5a5^uint64(id))
+				}
+			}
+		}
+		for _, limit := range []uint64{1, 2, 3, 17, 64} {
+			runMatches(t, d.m, p, drive, limit)
 		}
 	}
 }
 
-// TestEmitTypechecks emits Go source for a spread of designs — the
-// FSM-heavy Toy, lint designs with unusual shapes (unreachable states,
-// racing writes, combinational-only logic) — and runs the assembled
-// file through the real go/types checker. This catches emitter bugs
-// (unused locals, type mismatches, redeclarations) without invoking
-// the toolchain.
+// TestEmitTypechecks emits Go source for every test design and runs
+// the assembled file through the real go/types checker. This catches
+// emitter bugs (unused locals, type mismatches, redeclarations, a read
+// of a local no scope declares) without invoking the toolchain.
 func TestEmitTypechecks(t *testing.T) {
-	mods := map[string]*rtl.Module{
-		"toy":         testdesigns.Toy().M,
-		"unreachable": testdesigns.UnreachableState(),
-		"racy":        testdesigns.RacyWrites(),
-		"truncadd":    testdesigns.TruncatingAdd(),
-		"datawait":    testdesigns.DataWaitOnly(),
-	}
 	src := "package p\n\n"
-	for _, name := range []string{"toy", "unreachable", "racy", "truncadd", "datawait"} {
-		src += codegen.EmitFunc(codegen.Build(mods[name]), "step_"+name) + "\n"
+	for _, d := range testDesigns() {
+		src += codegen.EmitFunc(codegen.Build(d.m), "run_"+d.name) + "\n"
 	}
 	fset := token.NewFileSet()
 	f, err := parser.ParseFile(fset, "gen.go", src, 0)
@@ -126,7 +191,7 @@ func TestEmitTypechecks(t *testing.T) {
 }
 
 // TestUnspecializedPlan checks a design with no usable FSM still gets a
-// working straight-line plan.
+// working straight-line plan, at a spread of cycle limits.
 func TestUnspecializedPlan(t *testing.T) {
 	m := testdesigns.TruncatingAdd()
 	p := codegen.Build(m)
@@ -135,17 +200,7 @@ func TestUnspecializedPlan(t *testing.T) {
 		// still match the interpreter either way.
 		t.Logf("TruncatingAdd specialized %d states", p.StateCount())
 	}
-	ref := rtl.NewInterpSim(m)
-	nat := rtl.NewNativeSim(m, p.Step)
-	for cycle := 0; cycle < 64; cycle++ {
-		dr, dn := ref.Step(), nat.Step()
-		if dr != dn {
-			t.Fatalf("cycle %d: done interp=%v native=%v", cycle, dr, dn)
-		}
-		for id := range m.Nodes {
-			if rv, nv := ref.Value(rtl.NodeID(id)), nat.Value(rtl.NodeID(id)); rv != nv {
-				t.Fatalf("cycle %d node %d: interp=%#x native=%#x", cycle, id, rv, nv)
-			}
-		}
+	for _, limit := range []uint64{1, 2, 3, 17, 64} {
+		runMatches(t, m, p, func(*rtl.Sim) {}, limit)
 	}
 }

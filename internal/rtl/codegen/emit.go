@@ -8,23 +8,33 @@ import (
 )
 
 // EmitFunc renders the plan as the source of one Go function with the
-// rtl.NativeStep signature:
+// rtl.NativeRun signature:
 //
-//	func <name>(vals []uint64, mems [][]uint64) bool
+//	func <name>(vals []uint64, mems [][]uint64, max uint64) uint64
 //
-// The body is the cycle unrolled into straight-line statements:
-// register and input values are loaded into locals once, each residual
-// node becomes an SSA local (so consumers read machine registers, not
-// memory), folded constants print as literals at their use sites, and
-// the state-dependent suffix becomes a switch over the latched FSM
-// register with one case per reachable state. Every node's value is
-// still stored into vals so observation (Value, toggles, VCD) stays
-// bit-exact with the interpreter.
+// The body is a loop over cycles with the design's state in locals:
+// registers, and the inputs the loop reads, are loaded from vals once;
+// each kept residual node becomes an SSA local inside the loop body (so
+// consumers read machine registers, not memory), folded constants print
+// as literals at their use sites, and the state-dependent suffix
+// becomes a switch over the state register's local with one case per
+// reachable state. Suffix sinks (next values, write-port operands,
+// Done) reach the commit through loop-scope locals s<N> every arm
+// assigns. The loop breaks before committing a cycle whose Done is
+// high; memory writes commit in place and the latch assigns the
+// register locals, which are written back to vals once at exit. The
+// function never reads a combinational entry of vals: the emitter
+// panics if the plan would need one.
 //
 // The output is plain unformatted Go; cmd/rtlgen runs the assembled
 // file through go/format before writing it.
 func EmitFunc(p *Plan, name string) string {
-	e := &emitter{p: p, m: p.m, defined: map[int32]bool{}}
+	e := &emitter{
+		p:      p,
+		m:      p.m,
+		inputs: make([]bool, len(p.m.Nodes)),
+		mems:   make([]bool, len(p.m.Mems)),
+	}
 	return e.run(name)
 }
 
@@ -32,9 +42,11 @@ type emitter struct {
 	p *Plan
 	m *rtl.Module
 	b strings.Builder
-	// defined marks nodes with a function-scope local v<N> (loads and
-	// prefix results). Arm-scope locals are tracked per arm.
-	defined map[int32]bool
+	// inputs and mems mark the input nodes and memories the emitted
+	// body reads, so the preamble loads exactly those (an unused local
+	// would not compile).
+	inputs []bool
+	mems   []bool
 }
 
 func (e *emitter) pf(format string, args ...any) {
@@ -43,152 +55,125 @@ func (e *emitter) pf(format string, args ...any) {
 
 func (e *emitter) run(name string) string {
 	p, m := e.p, e.m
-	e.pf("func %s(vals []uint64, mems [][]uint64) bool {\n", name)
-	if n := len(m.Nodes); n > 0 {
-		e.pf("_ = vals[%d]\n", n-1)
-	}
-	for _, mi := range e.usedMems() {
-		e.pf("m%d := mems[%d]\n", mi, mi)
-	}
+	loopKnown := p.constKnown()
+	loopDefined := defined(nil, p.prefix)
 
-	// Function-scope loads: register/input values referenced by residual
-	// instructions (in any scope where they are not a known literal).
-	for _, id := range e.loadNodes() {
-		e.pf("v%d := vals[%d]\n", id, id)
-		e.defined[id] = true
-	}
-
-	// Scope knowledge: OpConst node values hold everywhere (preloaded at
-	// Reset, and printed as literals at use sites), extended by each
-	// instruction list's own folded constants.
-	prefixKnown := map[int32]uint64{}
-	for i := range m.Nodes {
-		if n := &m.Nodes[i]; n.Op == rtl.OpConst {
-			prefixKnown[int32(i)] = n.Const & n.Mask()
-		}
-	}
-	for k, v := range knownIn(p.prefix) { //detlint:allow scratch map, never ranged for output
-		prefixKnown[k] = v
-	}
-	for _, in := range p.prefix {
-		if in.kind != pConst {
-			e.defined[in.dst] = true
-		}
-	}
-	e.emitInsts(p.prefix, prefixKnown, e.defined)
-
+	e.pf("var n uint64\nfor ; n < max; n++ {\n")
+	e.emitInsts(p.prefix, loopKnown, loopDefined)
 	if p.stateNode >= 0 {
-		e.pf("switch vals[%d] {\n", p.stateNode)
+		// Suffix sinks become loop-scope locals, declared in node order.
+		isSink := make([]bool, len(m.Nodes))
+		for _, id := range p.sinks(loopKnown) {
+			isSink[id] = p.suffixNode(id)
+		}
+		var names []string
+		for id, ok := range isSink {
+			if ok {
+				names = append(names, fmt.Sprintf("s%d", id))
+			}
+		}
+		if len(names) > 0 {
+			e.pf("var %s uint64\n", strings.Join(names, ", "))
+		}
+		e.pf("switch v%d {\n", p.stateNode)
 		for ai, sv := range p.stateVals {
 			e.pf("case %#x:\n", sv)
-			armKnown := knownIn(p.arms[ai])
-			for k, v := range prefixKnown { //detlint:allow scratch map, never ranged for output
-				armKnown[k] = v
-			}
-			armKnown[p.stateNode] = sv
-			e.emitInsts(p.arms[ai], armKnown, armDefined(e.defined, p.arms[ai]))
+			e.emitArm(ai, p.arms[ai], loopDefined)
 		}
 		e.pf("default:\n")
-		genKnown := knownIn(p.generic)
-		for k, v := range prefixKnown { //detlint:allow scratch map, never ranged for output
-			genKnown[k] = v
-		}
-		e.emitInsts(p.generic, genKnown, armDefined(e.defined, p.generic))
+		e.emitArm(-1, p.generic, loopDefined)
 		e.pf("}\n")
 	}
+	sink := func(id int32) string {
+		if p.suffixNode(id) {
+			return fmt.Sprintf("s%d", id)
+		}
+		return e.ref(id, loopKnown, loopDefined)
+	}
 
-	e.pf("done := vals[%d] != 0\n", m.Done)
+	// The done cycle is left uncommitted for the caller to run.
+	if v, ok := loopKnown[int32(m.Done)]; !ok || v != 0 {
+		e.pf("if %s != 0 {\nbreak\n}\n", sink(int32(m.Done)))
+	}
 	for i := range m.Writes {
 		w := &m.Writes[i]
-		e.pf("if vals[%d] != 0 {\n", w.En)
-		e.pf("if addr := vals[%d]; addr < uint64(len(m%d)) {\n", w.Addr, w.Mem)
-		e.pf("m%d[addr] = vals[%d]\n", w.Mem, w.Data)
-		e.pf("}\n}\n")
+		en, enKnown := loopKnown[int32(w.En)]
+		if enKnown && en == 0 {
+			continue
+		}
+		e.mems[w.Mem] = true
+		if !enKnown {
+			e.pf("if %s != 0 {\n", sink(int32(w.En)))
+		}
+		e.pf("if addr := uint64(%s); addr < uint64(len(m%d)) {\n", sink(int32(w.Addr)), w.Mem)
+		e.pf("m%d[addr] = %s\n}\n", w.Mem, sink(int32(w.Data)))
+		if !enKnown {
+			e.pf("}\n")
+		}
 	}
-	// Registers latch simultaneously: all next values are read into
-	// locals before any register's vals entry is overwritten.
+	// Registers latch simultaneously: a next value that is another
+	// register is copied out before any register local is assigned.
+	next := make([]string, len(m.Regs))
 	for i := range m.Regs {
 		r := &m.Regs[i]
-		e.pf("l%d := vals[%d]%s\n", i, r.Next, maskSuffix(m.Nodes[r.Node].Mask()))
+		mask := m.Nodes[r.Node].Mask()
+		if v, ok := loopKnown[int32(r.Next)]; ok {
+			next[i] = fmt.Sprintf("%#x", v&mask)
+			continue
+		}
+		next[i] = sink(int32(r.Next))
+		if m.Nodes[r.Next].Mask()&^mask != 0 {
+			next[i] = "(" + next[i] + maskSuffix(mask) + ")"
+		}
+		if m.Nodes[r.Next].Op == rtl.OpReg && r.Next != r.Node {
+			e.pf("l%d := %s\n", i, next[i])
+			next[i] = fmt.Sprintf("l%d", i)
+		}
 	}
 	for i := range m.Regs {
-		e.pf("vals[%d] = l%d\n", m.Regs[i].Node, i)
+		if r := &m.Regs[i]; r.Next != r.Node {
+			e.pf("v%d = %s\n", r.Node, next[i])
+		}
 	}
-	e.pf("return done\n}\n")
-	return e.b.String()
+	e.pf("}\n")
+	for i := range m.Regs {
+		e.pf("vals[%d] = v%d\n", m.Regs[i].Node, m.Regs[i].Node)
+	}
+	e.pf("return n\n}\n")
+
+	// The preamble names exactly the memories and inputs the body used.
+	var head strings.Builder
+	fmt.Fprintf(&head, "func %s(vals []uint64, mems [][]uint64, max uint64) uint64 {\n", name)
+	if n := len(m.Nodes); n > 0 {
+		fmt.Fprintf(&head, "_ = vals[%d]\n", n-1)
+	}
+	for mi, used := range e.mems {
+		if used {
+			fmt.Fprintf(&head, "m%d := mems[%d]\n", mi, mi)
+		}
+	}
+	for i := range m.Nodes {
+		if m.Nodes[i].Op == rtl.OpReg || e.inputs[i] {
+			fmt.Fprintf(&head, "v%d := vals[%d]\n", i, i)
+		}
+	}
+	return head.String() + e.b.String()
 }
 
-// usedMems lists memory indices touched by read or write ports, in
-// index order.
-func (e *emitter) usedMems() []int32 {
-	used := make([]bool, len(e.m.Mems))
-	mark := func(insts []inst) {
-		for i := range insts {
-			if insts[i].kind == pGeneric && insts[i].op == rtl.OpMemRead {
-				used[insts[i].mem] = true
-			}
+// emitArm renders one suffix list as a switch case: its instructions,
+// then an assignment to every suffix sink it must provide.
+func (e *emitter) emitArm(ai int, insts []inst, loopDefined map[int32]bool) {
+	p := e.p
+	known := p.armKnown(ai, insts)
+	def := defined(loopDefined, insts)
+	e.emitInsts(insts, known, def)
+	seen := make([]bool, len(e.m.Nodes))
+	for _, id := range p.sinks(known) {
+		if p.suffixNode(id) && !seen[id] {
+			seen[id] = true
+			e.pf("s%d = %s\n", id, e.ref(id, known, def))
 		}
 	}
-	mark(e.p.prefix)
-	for _, arm := range e.p.arms {
-		mark(arm)
-	}
-	mark(e.p.generic)
-	for i := range e.m.Writes {
-		used[e.m.Writes[i].Mem] = true
-	}
-	var out []int32
-	for i, u := range used {
-		if u {
-			out = append(out, int32(i))
-		}
-	}
-	return out
-}
-
-// loadNodes lists register/input nodes that some residual instruction
-// reads in a scope where the value is not a known literal, in ID order.
-func (e *emitter) loadNodes() []int32 {
-	m := e.m
-	need := make([]bool, len(m.Nodes))
-	scan := func(insts []inst, known map[int32]uint64) {
-		for i := range insts {
-			in := &insts[i]
-			if in.kind == pConst {
-				continue
-			}
-			nargs := 1
-			if in.kind == pGeneric {
-				nargs = int(m.Nodes[in.dst].NArgs)
-			}
-			args := [3]int32{in.a, in.b, in.c}
-			for a := 0; a < nargs; a++ {
-				id := args[a]
-				if _, ok := known[id]; ok {
-					continue
-				}
-				switch m.Nodes[id].Op {
-				case rtl.OpReg, rtl.OpInput:
-					need[id] = true
-				}
-			}
-		}
-	}
-	prefixKnown := knownIn(e.p.prefix)
-	scan(e.p.prefix, prefixKnown)
-	for ai, arm := range e.p.arms {
-		armKnown := knownIn(arm)
-		armKnown[e.p.stateNode] = e.p.stateVals[ai]
-		scan(arm, armKnown)
-	}
-	scan(e.p.generic, knownIn(e.p.generic))
-	var out []int32
-	for i, n := range need {
-		if n {
-			out = append(out, int32(i))
-		}
-	}
-	return out
 }
 
 // knownIn collects the literal results proven within an instruction
@@ -203,12 +188,11 @@ func knownIn(insts []inst) map[int32]uint64 {
 	return known
 }
 
-// armDefined extends the function-scope defined set with the locals the
-// arm itself will introduce (its residual instructions), so intra-arm
-// consumers read those locals.
-func armDefined(fn map[int32]bool, insts []inst) map[int32]bool {
-	d := make(map[int32]bool, len(fn)+len(insts))
-	for k, v := range fn { //detlint:allow scratch map, never ranged for output
+// defined extends an enclosing scope's set of nodes with locals by the
+// locals a list's residual instructions introduce.
+func defined(outer map[int32]bool, insts []inst) map[int32]bool {
+	d := make(map[int32]bool, len(outer)+len(insts))
+	for k, v := range outer { //detlint:allow scratch map, never ranged for output
 		d[k] = v
 	}
 	for i := range insts {
@@ -219,16 +203,25 @@ func armDefined(fn map[int32]bool, insts []inst) map[int32]bool {
 	return d
 }
 
-// ref renders a read of node id: a literal when known in scope, the SSA
-// local when one exists, else the backing array.
-func ref(id int32, known map[int32]uint64, defined map[int32]bool) string {
+// ref renders a read of node id: a literal when known in scope, else
+// the local holding it — the register or input local loaded at entry,
+// or the SSA local of a kept instruction. A combinational node with
+// neither is a pruning bug, so it panics rather than read vals.
+func (e *emitter) ref(id int32, known map[int32]uint64, defined map[int32]bool) string {
 	if v, ok := known[id]; ok {
 		return fmt.Sprintf("%#x", v)
 	}
-	if defined[id] {
+	switch e.m.Nodes[id].Op {
+	case rtl.OpInput:
+		e.inputs[id] = true
+		return fmt.Sprintf("v%d", id)
+	case rtl.OpReg:
 		return fmt.Sprintf("v%d", id)
 	}
-	return fmt.Sprintf("vals[%d]", id)
+	if !defined[id] {
+		panic(fmt.Sprintf("codegen: %s node %d read without a local", e.m.Nodes[id].Op, id))
+	}
+	return fmt.Sprintf("v%d", id)
 }
 
 // maskSuffix renders "& mask", or nothing for full-width values.
@@ -254,14 +247,13 @@ func bound(id int32, m *rtl.Module, known map[int32]uint64) uint64 {
 // (including this list's own, precomputed by the caller).
 func (e *emitter) emitInsts(insts []inst, known map[int32]uint64, defined map[int32]bool) {
 	m := e.m
-	r := func(id int32) string { return ref(id, known, defined) }
+	r := func(id int32) string { return e.ref(id, known, defined) }
 	for i := range insts {
 		in := &insts[i]
 		d := in.dst
 		switch in.kind {
 		case pConst:
-			e.pf("vals[%d] = %#x\n", d, in.imm)
-			continue
+			// Folded: consumers print the literal.
 		case pCopy:
 			msk := maskSuffix(in.mask)
 			if bound(in.a, m, known)&^in.mask == 0 {
@@ -277,15 +269,14 @@ func (e *emitter) emitInsts(insts []inst, known map[int32]uint64, defined map[in
 			}
 			e.pf("v%d := (%s >> %d)%s\n", d, r(in.a), in.imm, msk)
 		default:
-			e.emitGeneric(in, r, known, defined)
+			e.emitGeneric(in, r, known)
 		}
-		e.pf("vals[%d] = v%d\n", d, d)
 	}
 }
 
 // emitGeneric renders a pGeneric instruction as the statements defining
-// local v<dst> (the caller appends the vals store).
-func (e *emitter) emitGeneric(in *inst, r func(int32) string, known map[int32]uint64, defined map[int32]bool) {
+// local v<dst>.
+func (e *emitter) emitGeneric(in *inst, r func(int32) string, known map[int32]uint64) {
 	m := e.m
 	d := in.dst
 	msk := maskSuffix(in.mask)
@@ -348,6 +339,7 @@ func (e *emitter) emitGeneric(in *inst, r func(int32) string, known map[int32]ui
 		e.pf("var v%d uint64\n", d)
 		// The uint64 conversion keeps a folded-literal address from
 		// typing the local as int; it is a no-op for value reads.
+		e.mems[in.mem] = true
 		e.pf("if addr := uint64(%s); addr < uint64(len(m%d)) {\nv%d = m%d[addr]%s\n}\n",
 			r(in.a), in.mem, d, in.mem, msk)
 	default:

@@ -2,49 +2,67 @@ package codegen
 
 import "repro/internal/rtl"
 
-// Step executes one cycle of the plan directly — the interpretive
-// backend over the same specialized instruction lists the emitter turns
-// into Go source. Its signature matches rtl.NativeStep, so
-// rtl.NewNativeSim(m, plan.Step) yields a simulator the differential
-// tests can run against the other engines on arbitrary modules,
-// exercising the partial-evaluation and FSM-dispatch logic without the
-// Go toolchain. It allocates a latch scratch per call rather than
-// capturing one, keeping the step pure over (vals, mems) as the
-// NativeStep contract requires; the emitted code uses stack locals and
-// pays no such allocation.
-func (p *Plan) Step(vals []uint64, mems [][]uint64) bool {
+// poison fills combinational entries at the start of every evaluated
+// cycle, so a plan that reads a node no kept instruction computed
+// diverges from the interpreter instead of reading a stale value.
+const poison = 0xdead_beef_dead_beef
+
+// Run executes the plan directly — the interpretive backend over the
+// same specialized, pruned instruction lists the emitter turns into Go
+// source. Its signature and contract match rtl.NativeRun (see the
+// package comment), so rtl.NewNativeSim(m, plan.Run) yields a
+// simulator the differential tests can run against the other engines
+// on arbitrary modules, exercising the partial-evaluation, pruning and
+// FSM-dispatch logic without the Go toolchain. Like the emitted code it
+// writes only registers back into vals: it evaluates into a private
+// copy whose combinational entries are poisoned each cycle.
+func (p *Plan) Run(vals []uint64, mems [][]uint64, max uint64) uint64 {
 	m := p.m
-	// Phase 1: combinational evaluation — prefix, then the suffix arm
-	// specialized for the current state (or the generic default).
-	runInsts(p.prefix, vals, mems)
-	if p.stateNode >= 0 {
-		if ai, ok := p.armOf[vals[p.stateNode]]; ok {
-			runInsts(p.arms[ai], vals, mems)
-		} else {
-			runInsts(p.generic, vals, mems)
+	cur := make([]uint64, len(vals))
+	copy(cur, vals)
+	comb := combNodes(m, nil)
+	latch := make([]uint64, len(m.Regs))
+	var n uint64
+	for ; n < max; n++ {
+		for _, id := range comb {
+			cur[id] = poison
 		}
-	}
-	done := vals[m.Done] != 0
-	// Phase 2: memory writes commit.
-	for i := range m.Writes {
-		w := &m.Writes[i]
-		if vals[w.En] != 0 {
-			data := mems[w.Mem]
-			if addr := vals[w.Addr]; addr < uint64(len(data)) {
-				data[addr] = vals[w.Data]
+		// Combinational evaluation — prefix, then the suffix arm
+		// specialized for the current state (or the generic default).
+		runInsts(p.prefix, cur, mems)
+		if p.stateNode >= 0 {
+			if ai, ok := p.armOf[cur[p.stateNode]]; ok {
+				runInsts(p.arms[ai], cur, mems)
+			} else {
+				runInsts(p.generic, cur, mems)
 			}
 		}
+		if cur[m.Done] != 0 {
+			break
+		}
+		// Memory writes commit.
+		for i := range m.Writes {
+			w := &m.Writes[i]
+			if cur[w.En] != 0 {
+				data := mems[w.Mem]
+				if addr := cur[w.Addr]; addr < uint64(len(data)) {
+					data[addr] = cur[w.Data]
+				}
+			}
+		}
+		// Registers latch simultaneously.
+		for i := range m.Regs {
+			r := &m.Regs[i]
+			latch[i] = cur[r.Next] & m.Nodes[r.Node].Mask()
+		}
+		for i := range m.Regs {
+			cur[m.Regs[i].Node] = latch[i]
+		}
 	}
-	// Phase 3: registers latch simultaneously.
-	latch := make([]uint64, len(m.Regs))
 	for i := range m.Regs {
-		r := &m.Regs[i]
-		latch[i] = vals[r.Next] & m.Nodes[r.Node].Mask()
+		vals[m.Regs[i].Node] = cur[m.Regs[i].Node]
 	}
-	for i := range m.Regs {
-		vals[m.Regs[i].Node] = latch[i]
-	}
-	return done
+	return n
 }
 
 func runInsts(insts []inst, vals []uint64, mems [][]uint64) {

@@ -1,6 +1,7 @@
 package rtl_test
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -118,15 +119,16 @@ type engineSim struct {
 
 // engineSims instantiates the scalar engines over one module, with the
 // interpreter first — it is the reference the others are compared to.
-// The native leg runs a freshly built codegen plan (the same
-// specialized instruction lists cmd/rtlgen emits as Go source), so the
-// partial evaluator and FSM-state dispatch face every random netlist
-// here and in FuzzEngineDifferential.
+// The native leg pairs the interpreter with a freshly built codegen
+// plan's run function; stepped, it checks the interpreter path a
+// native sim takes for observed cycles, and diffRun checks its run
+// loop, so the partial evaluator, pruning and FSM-state dispatch face
+// every random netlist here and in FuzzEngineDifferential.
 func engineSims(m *rtl.Module) []engineSim {
 	return []engineSim{
 		{"interp", rtl.NewInterpSim(m)},
 		{"compiled", rtl.Compile(m).NewSim()},
-		{"native", rtl.NewNativeSim(m, codegen.Build(m).Step)},
+		{"native", rtl.NewNativeSim(m, codegen.Build(m).Run)},
 	}
 }
 
@@ -172,6 +174,31 @@ func diffFinish(t *testing.T, m *rtl.Module, sims []engineSim) {
 	}
 }
 
+// diffRun checks the native engine's run loop. From the same memory
+// contents and input values, Run(limit) without activity counting —
+// which hands every cycle but the last to the plan's run function —
+// must leave ticks, error, every node value and every memory word
+// identical to the interpreter's.
+func diffRun(t *testing.T, m *rtl.Module, p *codegen.Plan, mem string, load []uint64, ins []rtl.NodeID, inVals []uint64, limit uint64) {
+	t.Helper()
+	sims := []engineSim{{"interp", rtl.NewInterpSim(m)}, {"native run", rtl.NewNativeSim(m, p.Run)}}
+	for _, e := range sims {
+		if err := e.s.LoadMem(mem, load); err != nil {
+			t.Fatal(err)
+		}
+		for k, id := range ins {
+			e.s.SetInput(id, inVals[k])
+		}
+	}
+	rt, rerr := sims[0].s.Run(limit)
+	nt, nerr := sims[1].s.Run(limit)
+	if rt != nt || fmt.Sprint(rerr) != fmt.Sprint(nerr) {
+		t.Fatalf("limit %d: interp %d, %v; native run %d, %v", limit, rt, rerr, nt, nerr)
+	}
+	diffCompare(t, m, sims, int(limit))
+	diffFinish(t, m, sims)
+}
+
 // TestEnginesMatchOnRandomNetlists is the differential property test:
 // on random netlists, the compiled and native engines must be
 // cycle-exact with the interpreter — node values, Cycles, Toggles, and
@@ -211,6 +238,15 @@ func TestEnginesMatchOnRandomNetlists(t *testing.T) {
 			diffCompare(t, m, sims, cycle)
 		}
 		diffFinish(t, m, sims)
+
+		p := codegen.Build(m)
+		inVals := make([]uint64, len(ins))
+		for k := range inVals {
+			inVals[k] = rng.Uint64()
+		}
+		for _, limit := range []uint64{1, 2, 37, 80} {
+			diffRun(t, m, p, "in", load, ins, inVals, limit)
+		}
 	}
 }
 
@@ -289,7 +325,7 @@ func TestCloneIsIndependent(t *testing.T) {
 	}{
 		{"compiled", func(m *rtl.Module) *rtl.Sim { return rtl.NewSimEngine(m, rtl.EngineCompiled) }},
 		{"interp", rtl.NewInterpSim},
-		{"native", func(m *rtl.Module) *rtl.Sim { return rtl.NewNativeSim(m, codegen.Build(m).Step) }},
+		{"native", func(m *rtl.Module) *rtl.Sim { return rtl.NewNativeSim(m, codegen.Build(m).Run) }},
 	} {
 		t.Run(mk.name, func(t *testing.T) {
 			s := mk.mk(toy.M)

@@ -2,11 +2,13 @@ package rtl_test
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"testing"
 
 	"repro/internal/absint"
 	"repro/internal/rtl"
+	"repro/internal/rtl/codegen"
 )
 
 // byteFeed deterministically consumes fuzz input bytes, yielding zeros
@@ -106,7 +108,8 @@ func fuzzModule(f *byteFeed) *rtl.Module {
 // TestEnginesMatchOnRandomNetlists: fuzz bytes pick the netlist shape
 // and the stimulus, and the compiled, native, and batch engines must
 // stay bit-exact with the interpreter on every node value, cycle
-// count, toggle counter, and memory word. The batch engine runs a
+// count, toggle counter, and memory word; the native engine's run loop
+// is also checked at a fuzzed cycle limit. The batch engine runs a
 // fuzz-chosen lane count (1..64) with per-lane perturbed stimulus, so
 // lanes retire at different cycles and the ragged-freeze path is
 // fuzzed too.
@@ -154,6 +157,13 @@ func FuzzEngineDifferential(f *testing.F) {
 			diffCompare(t, m, sims, cycle)
 		}
 		diffFinish(t, m, sims)
+
+		// Run-loop leg: the native engine's multi-cycle run function
+		// (here the plan evaluator) at a cycle limit the whole input
+		// picks, so runs stop on Done and on the limit alike.
+		h := fnv.New32a()
+		h.Write(data)
+		diffRun(t, m, codegen.Build(m), "m", load, ins, stim[0], 1+uint64(h.Sum32()%64))
 
 		// Pruned leg: absint-driven pruning (proven-constant folding plus
 		// dead-port removal) must leave every scalar engine bit-exact with

@@ -8,72 +8,79 @@ import (
 
 // native.go is the runtime half of the codegen execution engine: a
 // process-wide registry mapping netlist fingerprints to pre-generated,
-// specialized step functions. The generation half lives in
+// specialized run functions. The generation half lives in
 // internal/rtl/codegen (the translator) and internal/rtl/native (the
 // checked-in generated code for the benchmark suite, produced by
 // cmd/rtlgen via go:generate).
 //
-// A NativeStep is one cycle of one specific netlist compiled to
-// straight-line Go: no instruction dispatch, constants folded into the
-// code, masks baked in, and FSM-state-specialized basic blocks. It
-// still writes every node's value into the Sim's value array each
-// cycle, so Value, RegValue, toggle counting, VCD dumps, and the
-// differential tests observe state bit-identical to the interpreter.
+// A NativeRun is a multi-cycle loop over one specific netlist compiled
+// to straight-line Go: no instruction dispatch, constants folded into
+// the code, masks baked in, FSM-state-specialized basic blocks, and the
+// design's state held in locals for the whole call. It stores no
+// combinational value: only registers are written back, at exit. A
+// native Sim is therefore an interpreter Sim plus its run function —
+// Run hands the run function every cycle before the last and finishes
+// on the interpreter, which recomputes every node, so Value, RegValue,
+// memories and cycle counts after Run are an interpreter run's. Every
+// cycle something observes (Step, toggle counting, VCD dumps) runs on
+// the interpreter.
 //
 // Registration is keyed on Fingerprint(m): two modules with equal
-// fingerprints simulate identically, so a step generated from one is
-// valid for the other. Netlists without a registered step (random fuzz
-// modules, testdesigns, freshly edited benchmarks before regeneration)
-// transparently fall back to the compiled engine; the fallback is
-// observable through NativeFallbacks so a silently stale registry
-// cannot masquerade as a codegen win.
+// fingerprints simulate identically, so code generated from one is
+// valid for the other. Netlists without a registered run function
+// (random fuzz modules, testdesigns, freshly edited benchmarks before
+// regeneration) transparently fall back to the compiled engine; the
+// fallback is observable through NativeFallbacks so a silently stale
+// registry cannot masquerade as a codegen win.
 
-// NativeStep executes one cycle of a specific netlist: combinational
-// evaluation in SSA order, memory-write commit, simultaneous register
-// latch — the same four-phase contract as Sim.Step (toggle counting is
-// phase 4, handled by the caller). It must write every node's value
-// into vals and return whether Done evaluated nonzero this cycle.
+// NativeRun simulates up to max cycles of a specific netlist from the
+// register, input and memory state in (vals, mems). It stops before
+// committing the first cycle whose Done is high; every earlier cycle
+// commits its memory writes (in port order) and then latches all
+// registers simultaneously. At exit it writes the registers back into
+// vals and returns the number of cycles committed (max when Done never
+// rose). It neither reads nor writes combinational entries of vals.
 //
-// A NativeStep must be pure over (vals, mems): implementations hold no
-// mutable captured state, so one step function is shared by any number
+// A NativeRun must be pure over (vals, mems): implementations hold no
+// mutable captured state, so one run function is shared by any number
 // of concurrently running Sim clones.
-type NativeStep func(vals []uint64, mems [][]uint64) bool
+type NativeRun func(vals []uint64, mems [][]uint64, max uint64) uint64
 
 // nativeEntry is one registered generated simulator.
 type nativeEntry struct {
 	name string
-	step NativeStep
+	run  NativeRun
 }
 
 var (
 	nativeMu  sync.RWMutex
 	nativeReg = map[string]nativeEntry{}
 	// nativeFallbacks counts NewSimEngine(native) calls that found no
-	// registered step and fell back to the compiled engine.
+	// registered run function and fell back to the compiled engine.
 	nativeFallbacks atomic.Uint64
 )
 
-// RegisterNative binds a generated step function to a netlist
+// RegisterNative binds a generated run function to a netlist
 // fingerprint (see Fingerprint). Generated code calls it from init;
 // name labels the entry for diagnostics. A later registration for the
 // same fingerprint wins, which is harmless because equal fingerprints
 // imply identical simulation semantics.
-func RegisterNative(fingerprint, name string, step NativeStep) {
-	if step == nil {
-		panic("rtl: RegisterNative with nil step")
+func RegisterNative(fingerprint, name string, run NativeRun) {
+	if run == nil {
+		panic("rtl: RegisterNative with nil run function")
 	}
 	nativeMu.Lock()
-	nativeReg[fingerprint] = nativeEntry{name: name, step: step}
+	nativeReg[fingerprint] = nativeEntry{name: name, run: run}
 	nativeMu.Unlock()
 }
 
-// NativeStepFor returns the registered generated step for the module's
-// fingerprint, if any.
-func NativeStepFor(m *Module) (NativeStep, bool) {
+// NativeRunFor returns the registered generated run function for the
+// module's fingerprint, if any.
+func NativeRunFor(m *Module) (NativeRun, bool) {
 	nativeMu.RLock()
 	e, ok := nativeReg[Fingerprint(m)]
 	nativeMu.RUnlock()
-	return e.step, ok
+	return e.run, ok
 }
 
 // NativeNames returns the names of all registered generated
@@ -90,21 +97,22 @@ func NativeNames() []string {
 }
 
 // NativeFallbacks reports how many native-engine simulator requests
-// fell back to the compiled engine because no generated step was
-// registered for the netlist. Monotone; safe to read concurrently.
+// fell back to the compiled engine because no generated run function
+// was registered for the netlist. Monotone; safe to read concurrently.
 func NativeFallbacks() uint64 { return nativeFallbacks.Load() }
 
-// NewNativeSim prepares a simulator that executes the given generated
-// step function for the module. The step must have been generated from
-// a module with the same fingerprint; NewSimEngine does the lookup,
-// this constructor exists for the codegen package's own differential
-// tests (which pair arbitrary modules with freshly built plans).
-func NewNativeSim(m *Module, step NativeStep) *Sim {
-	if step == nil {
-		panic("rtl: NewNativeSim with nil step")
+// NewNativeSim prepares a simulator that runs the given generated run
+// function for the module: an interpreter Sim whose Run hands the run
+// function every cycle but the last. The function must have been
+// generated from a module with the same fingerprint; NewSimEngine does
+// the lookup, this constructor exists for the codegen package's own
+// differential tests (which pair arbitrary modules with freshly built
+// plans).
+func NewNativeSim(m *Module, run NativeRun) *Sim {
+	if run == nil {
+		panic("rtl: NewNativeSim with nil run function")
 	}
-	s := newSimState(m)
-	s.nat = step
-	s.Reset()
+	s := NewInterpSim(m)
+	s.run = run
 	return s
 }

@@ -1,6 +1,6 @@
 // Package native holds the pre-generated (checked-in) native
-// simulators for the benchmark suite: one specialized straight-line Go
-// step function per distinct netlist shape the production flows
+// simulators for the benchmark suite: one specialized multi-cycle Go
+// run function per distinct netlist shape the production flows
 // simulate — raw designs, instrumented designs, their pruned twins,
 // and predictor slices. The gen_*.go files are produced by cmd/rtlgen
 // from internal/rtl/codegen plans and register themselves with the rtl
@@ -8,7 +8,7 @@
 // does, blank) is all it takes for rtl.NewSimEngine(rtl.EngineNative)
 // to resolve them.
 //
-// Netlists without a registered step — random fuzz modules,
+// Netlists without a registered run function — random fuzz modules,
 // testdesigns, benchmarks edited since the last regeneration — fall
 // back to the compiled engine; rtl.NativeFallbacks counts those so a
 // stale registry is observable, and CI's drift gate (go generate

@@ -1,6 +1,7 @@
 package native_test
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/absint"
@@ -13,6 +14,28 @@ import (
 	_ "repro/internal/rtl/native"
 )
 
+// shape is one netlist the production flows simulate.
+type shape struct {
+	name string
+	m    *rtl.Module
+}
+
+// prodShapes builds a benchmark's raw design, instrumented design and
+// pruned twin (the full-design simulator core.Train binds).
+func prodShapes(t *testing.T, spec accel.Spec) []shape {
+	t.Helper()
+	ins, err := instrument.Instrument(spec.Build())
+	if err != nil {
+		t.Fatal(err)
+	}
+	featRegs := make([]int, len(ins.Features))
+	for i, f := range ins.Features {
+		featRegs[i] = f.Witness
+	}
+	pm, _ := absint.Prune(ins.M, featRegs)
+	return []shape{{"raw", spec.Build()}, {"instrumented", ins.M}, {"pruned", pm}}
+}
+
 // TestRegistryCoversSuiteShapes asserts the checked-in generated code
 // actually resolves for every netlist shape the production flows
 // simulate — raw design, instrumented design, pruned twin — on all 7
@@ -22,23 +45,11 @@ func TestRegistryCoversSuiteShapes(t *testing.T) {
 	for _, spec := range suite.All() {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
-			mods := map[string]*rtl.Module{"raw": spec.Build()}
-			ins, err := instrument.Instrument(spec.Build())
-			if err != nil {
-				t.Fatal(err)
-			}
-			mods["instrumented"] = ins.M
-			featRegs := make([]int, len(ins.Features))
-			for i, f := range ins.Features {
-				featRegs[i] = f.Witness
-			}
-			pm, _ := absint.Prune(ins.M, featRegs)
-			mods["pruned"] = pm
-			for shape, m := range mods { //detlint:allow independent subtests, order immaterial for pass/fail
-				s := rtl.NewSimEngine(m, rtl.EngineNative)
+			for _, sh := range prodShapes(t, spec) {
+				s := rtl.NewSimEngine(sh.m, rtl.EngineNative)
 				if got := s.Engine(); got != rtl.EngineNative {
 					t.Errorf("%s %s: engine %q (registry stale? run go generate ./internal/rtl/native)",
-						spec.Name, shape, got)
+						spec.Name, sh.name, got)
 				}
 			}
 		})
@@ -47,10 +58,17 @@ func TestRegistryCoversSuiteShapes(t *testing.T) {
 
 // TestGeneratedCodeMatchesInterpOnSuite is the differential check of
 // the emitted (checked-in) code itself, as opposed to the codegen plan
-// evaluator the rtl package fuzzes: for every benchmark, real jobs run
-// on the generated native sims for the raw design and the trained
-// predictor slice, and ticks, node values, toggles, and memories must
-// match the interpreter bit-exactly.
+// evaluator the rtl package fuzzes. For every benchmark, real jobs run
+// on the native sims of the raw design, the instrumented design, its
+// pruned twin and the trained predictor slice with activity counting
+// off — the production path, where Run hands every cycle but the last
+// to the generated run function — at cycle limits 1, 2, 37 and the
+// benchmark's MaxTicks, so the loop stops both on the limit and on
+// Done; ticks, error, every node value and every memory word must
+// match an interpreter run with the same limit. A second leg runs the
+// raw design and the slice with activity counting on (the interpreter
+// path a native sim takes when cycles are observed) and also compares
+// toggle counters.
 func TestGeneratedCodeMatchesInterpOnSuite(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential suite run in -short mode")
@@ -72,6 +90,40 @@ func TestGeneratedCodeMatchesInterpOnSuite(t *testing.T) {
 			if len(jobs) > 3 {
 				jobs = jobs[:3]
 			}
+			shapes := append(prodShapes(t, spec), shape{"slice", pred.Slice.M})
+			for _, sh := range shapes {
+				nat := rtl.NewSimEngine(sh.m, rtl.EngineNative)
+				if got := nat.Engine(); got != rtl.EngineNative {
+					t.Fatalf("%s: engine %q, want native (stale registry?)", sh.name, got)
+				}
+				ref := rtl.NewInterpSim(sh.m)
+				for ji, job := range jobs {
+					for _, limit := range []uint64{1, 2, 37, spec.MaxTicks} {
+						rt, rerr := accel.RunJob(ref, job, limit)
+						nt, nerr := accel.RunJob(nat, job, limit)
+						if nt != rt || fmt.Sprint(nerr) != fmt.Sprint(rerr) {
+							t.Fatalf("%s job %d limit %d: native %d, %v; interp %d, %v",
+								sh.name, ji, limit, nt, nerr, rt, rerr)
+						}
+						for id := 0; id < sh.m.NumNodes(); id++ {
+							if nv, rv := nat.Value(rtl.NodeID(id)), ref.Value(rtl.NodeID(id)); nv != rv {
+								t.Fatalf("%s job %d limit %d node %d (%s): %#x (native) != %#x (interp)",
+									sh.name, ji, limit, id, sh.m.Nodes[id].Op, nv, rv)
+							}
+						}
+						for _, mem := range sh.m.Mems {
+							nm, rm := nat.Mem(mem.Name), ref.Mem(mem.Name)
+							for a := range rm {
+								if nm[a] != rm[a] {
+									t.Fatalf("%s job %d limit %d mem %s[%d]: %#x (native) != %#x (interp)",
+										sh.name, ji, limit, mem.Name, a, nm[a], rm[a])
+								}
+							}
+						}
+					}
+				}
+			}
+
 			for _, m := range []*rtl.Module{spec.Build(), pred.Slice.M} {
 				nat := rtl.NewSimEngine(m, rtl.EngineNative)
 				if got := nat.Engine(); got != rtl.EngineNative {

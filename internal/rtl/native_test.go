@@ -11,7 +11,7 @@ import (
 )
 
 // TestNativeFallback checks the unregistered-netlist path: asking for
-// the native engine on a module with no generated step must return a
+// the native engine on a module with no generated run function must return a
 // fully working compiled simulator, report EngineCompiled (no silent
 // masquerading), and bump the NativeFallbacks counter so the fallback
 // is observable.
@@ -39,12 +39,12 @@ func TestNativeFallback(t *testing.T) {
 	}
 }
 
-// TestRegisterNativeResolves checks a registered step is found by
+// TestRegisterNativeResolves checks a registered run function is found by
 // fingerprint and the resulting sim self-identifies as native,
 // including through Clone (the serving shards' path).
 func TestRegisterNativeResolves(t *testing.T) {
 	m := randModule(rand.New(rand.NewSource(7)))
-	rtl.RegisterNative(rtl.Fingerprint(m), "test_rand7", codegen.Build(m).Step)
+	rtl.RegisterNative(rtl.Fingerprint(m), "test_rand7", codegen.Build(m).Run)
 	s := rtl.NewSimEngine(m, rtl.EngineNative)
 	if got := s.Engine(); got != rtl.EngineNative {
 		t.Fatalf("engine %q, want %q", got, rtl.EngineNative)
@@ -66,7 +66,7 @@ func TestRegisterNativeResolves(t *testing.T) {
 // TestEngineSelection covers ParseEngine and the NewSimEngine /
 // SetDefaultEngine plumbing the CLI -engine flags rely on, and pins the
 // default: native, falling back to compiled (and counting it) on
-// netlists with no generated step.
+// netlists with no generated run function.
 func TestEngineSelection(t *testing.T) {
 	for _, tc := range []struct {
 		in   string
@@ -109,7 +109,7 @@ func TestEngineSelection(t *testing.T) {
 		}
 	}()
 	// Under the default engine, an unregistered netlist (Toy has no
-	// generated step) gets a compiled Sim and exactly one counted
+	// generated run function) gets a compiled Sim and exactly one counted
 	// fallback.
 	if err := rtl.SetDefaultEngine(""); err != nil {
 		t.Fatal(err)

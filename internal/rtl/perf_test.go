@@ -38,7 +38,7 @@ func benchToy(b *testing.B, s *rtl.Sim, nodes int) {
 }
 
 // BenchmarkToySim measures the compiled engine (Toy has no generated
-// native step, so the default engine falls back to it).
+// native run function, so the default engine falls back to it).
 func BenchmarkToySim(b *testing.B) {
 	toy := testdesigns.Toy()
 	benchToy(b, rtl.NewSimEngine(toy.M, rtl.EngineCompiled), toy.M.NumNodes())

@@ -12,10 +12,13 @@ import (
 // toggle counters, memory contents — enforced by differential tests):
 //
 //   - EngineNative executes pre-generated straight-line Go specialized
-//     to one netlist (see native.go and internal/rtl/codegen): no
+//     to one netlist (see native.go and internal/rtl/codegen): a
+//     multi-cycle loop with the design's state in locals and no
 //     instruction dispatch at all, the fastest single-job engine and
-//     the default. Netlists without a registered generated step fall
-//     back to the compiled engine (counted in NativeFallbacks).
+//     the default. The cycles a caller observes (Step, activity
+//     counting, the last cycle of Run) run on the interpreter.
+//     Netlists without a registered run function fall back to the
+//     compiled engine (counted in NativeFallbacks).
 //   - EngineCompiled executes the flat specialized instruction stream
 //     produced by Compile; the native engine's fallback, and the
 //     engine for any netlist nothing was generated for (user Verilog,
@@ -82,17 +85,18 @@ func DefaultEngine() Engine {
 }
 
 // Sim is a cycle-accurate simulator for a Module. It executes a
-// generated native step (see native.go), a compiled Program (see
-// Compile), or — built by NewInterpSim — interprets the Node table
-// directly, the reference engine for differential testing. One Sim
+// compiled Program (see Compile), or interprets the Node table
+// directly — NewInterpSim's reference engine for differential
+// testing, which a native Sim extends with a generated run function
+// (see native.go) that Run uses for every cycle but the last. One Sim
 // instance can run many jobs back to back; Reset restores registers
 // and clears scratchpads between jobs.
 //
 // Each Sim owns its value array and its writable memory backing, so
 // independent Sims over the same Module never share mutable state:
-// Clone is cheap (the compiled Program and ROM contents are shared,
-// both immutable) and clones may run concurrently, which is what the
-// parallel job fan-out in package core relies on.
+// Clone is cheap (the compiled Program or native run function and ROM
+// contents are shared, all immutable) and clones may run concurrently,
+// which is what the parallel job fan-out in package core relies on.
 //
 // Evaluation model per cycle:
 //  1. combinational nodes are evaluated in ID order (SSA guarantees
@@ -126,9 +130,10 @@ type Sim struct {
 	latch []uint64
 	// cycles counts the cycles executed since the last Reset.
 	cycles uint64
-	// nat is a pre-generated specialized step function (see native.go);
-	// when set it overrides prog. With neither set the Sim interprets.
-	nat NativeStep
+	// run is a pre-generated multi-cycle run function (see native.go),
+	// set only on interpreter Sims: Run without activity counting hands
+	// it every cycle but the last.
+	run NativeRun
 }
 
 // ErrNoProgress is returned by Run when the cycle limit is reached
@@ -149,16 +154,17 @@ func NewSim(m *Module) *Sim {
 // through BatchSim); callers that need a single-job simulator under the
 // batch engine — retries, serving shards, VCD dumps — get the compiled
 // engine, which the batch fan-out in package core uses as its per-job
-// fallback as well. EngineNative requires a generated step registered
-// for the module's fingerprint (see RegisterNative); without one the
-// caller gets a compiled Sim and NativeFallbacks increments.
+// fallback as well. EngineNative requires a generated run function
+// registered for the module's fingerprint (see RegisterNative);
+// without one the caller gets a compiled Sim and NativeFallbacks
+// increments.
 func NewSimEngine(m *Module, e Engine) *Sim {
 	switch e {
 	case EngineInterp:
 		return NewInterpSim(m)
 	case EngineNative:
-		if step, ok := NativeStepFor(m); ok {
-			return NewNativeSim(m, step)
+		if run, ok := NativeRunFor(m); ok {
+			return NewNativeSim(m, run)
 		}
 		nativeFallbacks.Add(1)
 		return Compile(m).NewSim()
@@ -229,14 +235,15 @@ func newSimState(m *Module) *Sim {
 }
 
 // Clone returns an independent simulator over the same module and
-// engine, in freshly Reset state. The compiled program, netlist, and
-// ROM contents are shared (all immutable); values, registers, and
-// writable memories are private, so clones may run concurrently.
+// engine, in freshly Reset state. The compiled program or native run
+// function, width masks, netlist, and ROM contents are shared (all
+// immutable); values, registers, and writable memories are private,
+// so clones may run concurrently.
 func (s *Sim) Clone() *Sim {
 	c := newSimState(s.m)
 	c.prog = s.prog
 	c.masks = s.masks
-	c.nat = s.nat
+	c.run = s.run
 	if s.countToggles {
 		c.EnableActivity()
 	}
@@ -250,7 +257,7 @@ func (s *Sim) Clone() *Sim {
 // through the NativeFallbacks counter.
 func (s *Sim) Engine() Engine {
 	switch {
-	case s.nat != nil:
+	case s.run != nil:
 		return EngineNative
 	case s.prog != nil:
 		return EngineCompiled
@@ -359,16 +366,9 @@ func (s *Sim) Value(id NodeID) uint64 { return s.vals[id] }
 // Cycles returns the number of cycles executed since Reset.
 func (s *Sim) Cycles() uint64 { return s.cycles }
 
-// Step executes one cycle and reports whether Done was high.
+// Step executes one cycle and reports whether Done was high. A native
+// Sim steps on the interpreter.
 func (s *Sim) Step() bool {
-	if s.nat != nil {
-		done := s.nat(s.vals, s.mems)
-		if s.countToggles {
-			s.countActivity()
-		}
-		s.cycles++
-		return done
-	}
 	if s.prog != nil {
 		return s.stepCompiled()
 	}
@@ -502,8 +502,17 @@ func (s *Sim) countActivity() {
 // Run steps the module until Done is raised, returning the number of
 // cycles taken (inclusive of the done cycle). If maxCycles elapses
 // first, it returns ErrNoProgress.
+//
+// A native Sim without activity counting hands the first maxCycles-1
+// cycles to its run function, which stops before committing a done
+// cycle; the step loop then runs the remaining cycle (the done cycle,
+// or the limit cycle) on the interpreter, which recomputes every node.
+// State, cycle count and error therefore match an interpreter run.
 func (s *Sim) Run(maxCycles uint64) (uint64, error) {
 	start := s.cycles
+	if s.run != nil && !s.countToggles && maxCycles > 1 {
+		s.cycles += s.run(s.vals, s.mems, maxCycles-1)
+	}
 	for s.cycles-start < maxCycles {
 		if s.Step() {
 			return s.cycles - start, nil

@@ -344,7 +344,8 @@ func WriteMetrics(w io.Writer, shards []*Shard) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
 	}
 	// Every simulator this process built on the compiled engine because
-	// its netlist had no generated native step (about 5x slower per job).
+	// its netlist had no generated native run function (about 10x slower
+	// per job).
 	counter("dvfserved_native_fallbacks_total", "Simulators that fell back from the native to the compiled engine.", rtl.NativeFallbacks())
 	// Design runs count one per full-design or slice simulation, serving
 	// and training alike; see core.SimulatedJobs.

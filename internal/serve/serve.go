@@ -400,12 +400,15 @@ var ErrQueueFull = fmt.Errorf("serve: queue full")
 // into the overloaded regime (admitted jobs degrade until the backlog
 // halves).
 func (s *Shard) Submit(j Job) error {
+	// Count the job before the send makes it visible to the worker, whose
+	// decrement may otherwise land first and drive the gauge negative.
+	s.depth.Add(1)
 	select {
 	case s.queue <- j:
-		s.depth.Add(1)
 		return nil
 	default:
 	}
+	s.depth.Add(-1)
 	s.rejected.Inc()
 	s.shed.Inc()
 	if s.cfg.Overflow == OverflowDegrade && !s.overloaded.Swap(true) {
@@ -422,8 +425,8 @@ func (s *Shard) Submit(j Job) error {
 // wall-clock backlog. The caller must not call SubmitWait concurrently
 // with (or after) Close.
 func (s *Shard) SubmitWait(j Job) {
+	s.depth.Add(1) // before the send, as in Submit
 	s.queue <- j
-	s.depth.Add(1)
 }
 
 // Close stops accepting work and waits for the queue to drain.

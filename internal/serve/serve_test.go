@@ -658,6 +658,66 @@ func TestOverflowPolicies(t *testing.T) {
 	}
 }
 
+// TestOverloadHysteresis pins the depth gauge and the overload
+// regime on a deterministic overflow. The worker is parked on a gate
+// job, the queue fills exactly and the excess is rejected: the gauge
+// then reads the queued jobs alone (each reject undoes its own count).
+// Draining clears the regime at the first completion that leaves the
+// backlog at QueueDepth/2, so of the four queued jobs the first two
+// run degraded and the last two predict.
+func TestOverloadHysteresis(t *testing.T) {
+	cfg := testShardConfig("hyst")
+	cfg.QueueDepth = 4
+	cfg.Overflow = OverflowDegrade
+	cfg.DegradeWait = -1 // isolate the overload trigger from wait-degradation
+	sh, err := NewShard(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := make(chan Outcome) // unbuffered: the worker blocks sending it
+	gateTr := synthTraces([]float64{1})[0]
+	if err := sh.Submit(Job{Trace: &gateTr, Result: gate}); err != nil {
+		t.Fatal(err)
+	}
+	// The worker decrements the gauge after serving a job and before
+	// sending its result, so depth 0 means it is parked on the gate.
+	deadline := time.Now().Add(10 * time.Second)
+	for sh.Stats().QueueDepth != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("worker never finished the gate job")
+		}
+		runtime.Gosched()
+	}
+	// Arrivals far apart: no job waits on its predecessor's virtual
+	// service, so no wait or budget trigger competes with overload.
+	traces := synthTraces([]float64{1, 1, 1, 1, 1, 1, 1, 1})
+	res := make(chan Outcome, len(traces))
+	accepted := 0
+	for i := range traces {
+		j := Job{Arrival: float64(i+1) * 10 * testDeadline, Trace: &traces[i], Result: res}
+		if sh.Submit(j) == nil {
+			accepted++
+		}
+	}
+	st := sh.Stats()
+	if accepted != cfg.QueueDepth || st.QueueDepth != int64(cfg.QueueDepth) || st.Rejected != 4 || st.Overloads != 1 {
+		t.Fatalf("parked worker: accepted %d, depth %d, rejected %d, overloads %d; want 4/4/4/1",
+			accepted, st.QueueDepth, st.Rejected, st.Overloads)
+	}
+	<-gate
+	sh.Close()
+	for i := 0; i < accepted; i++ {
+		if o := <-res; o.Degraded != (i < 2) {
+			t.Errorf("queued job %d: degraded %v, want %v", i, o.Degraded, i < 2)
+		}
+	}
+	st = sh.Stats()
+	if st.DegradedOverload != 2 || st.Degraded != 2 || st.QueueDepth != 0 {
+		t.Errorf("drained: degraded %d (overload %d), depth %d; want 2 (2), 0",
+			st.Degraded, st.DegradedOverload, st.QueueDepth)
+	}
+}
+
 // TestShardConfigValidatesFailureKnobs: negative watchdog knobs are
 // rejected up front.
 func TestShardConfigValidatesFailureKnobs(t *testing.T) {

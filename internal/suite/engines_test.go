@@ -6,7 +6,7 @@ import (
 	"repro/internal/accel"
 	"repro/internal/rtl"
 
-	// The native engine resolves generated steps registered at init.
+	// The native engine resolves generated run functions registered at init.
 	_ "repro/internal/rtl/native"
 )
 
@@ -77,7 +77,9 @@ func TestBatchEngineMatchesOnSuite(t *testing.T) {
 // (ticks, every node value, every toggle counter, every memory word)
 // must agree bit-exactly. The toggle counters feed the energy model,
 // so their equivalence is what licenses native as the default engine
-// and compiled as its fallback.
+// and compiled as its fallback. A native sim counting activity steps
+// on the interpreter, so the native engine also runs once without it,
+// through its generated run loop.
 func TestEnginesMatchOnSuite(t *testing.T) {
 	for _, spec := range All() {
 		spec := spec
@@ -91,15 +93,20 @@ func TestEnginesMatchOnSuite(t *testing.T) {
 					t.Fatalf("%s: native sim reports %q — generated registry stale? run go generate ./internal/rtl/native",
 						mod.Name, got)
 				}
+				// The native sim counts activity, so it steps on the
+				// interpreter; a second one without activity runs the
+				// generated loop (Toggles stays nil, so the toggle
+				// comparison below skips it).
 				others := []struct {
 					name string
 					s    *rtl.Sim
 				}{
 					{"compiled", rtl.Compile(mod).NewSim()},
 					{"native", nat},
+					{"native run loop", rtl.NewSimEngine(mod, rtl.EngineNative)},
 				}
 				ref.EnableActivity()
-				for _, o := range others {
+				for _, o := range others[:2] {
 					o.s.EnableActivity()
 				}
 				for ji, job := range jobs {
