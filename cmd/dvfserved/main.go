@@ -237,8 +237,39 @@ func main() {
 		handler = serve.NewAPI(srv, source).Handler()
 		fmt.Printf("dvfserved: listening on %s, serving %v\n", *addr, srv.Names())
 	}
-	if err := http.ListenAndServe(*addr, handler); err != nil {
+	if err := newHTTPServer(*addr, handler, defaultTimeouts).ListenAndServe(); err != nil {
 		fmt.Fprintf(os.Stderr, "dvfserved: %v\n", err)
 		os.Exit(1)
+	}
+}
+
+// httpTimeouts bounds how long one connection may hold the server:
+// reading the request header, reading the whole request, writing the
+// response, and idling between keep-alive requests.
+type httpTimeouts struct {
+	readHeader, read, write, idle time.Duration
+}
+
+// defaultTimeouts are dvfserved's. Requests are small JSON bodies, so
+// a client that has not sent its header in 5 s or its body in 30 s is
+// cut off. The write timeout runs from the end of the header to the
+// end of the response, so it must outlast the slowest handler, POST
+// /v1/drain, which answers within serve.DrainTimeout.
+var defaultTimeouts = httpTimeouts{
+	readHeader: 5 * time.Second,
+	read:       30 * time.Second,
+	write:      serve.DrainTimeout + 30*time.Second,
+	idle:       2 * time.Minute,
+}
+
+// newHTTPServer returns the server dvfserved listens with.
+func newHTTPServer(addr string, h http.Handler, t httpTimeouts) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: t.readHeader,
+		ReadTimeout:       t.read,
+		WriteTimeout:      t.write,
+		IdleTimeout:       t.idle,
 	}
 }

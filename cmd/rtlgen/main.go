@@ -8,7 +8,8 @@
 //   - the instrumented design (the full-design simulator when pruning
 //     is disabled, REPRO_PRUNE=0),
 //   - its pruned twin (the full-design simulator core.Train binds under
-//     default pruning),
+//     default pruning: the design's timing cone, without the datapath
+//     that feeds only write-only memories),
 //   - the keep-everything slice (the suite tests' shape), and
 //   - the trained predictor slice for the canonical training seed (42,
 //     the default of simbench/slicegen) — the latency-critical module

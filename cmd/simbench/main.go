@@ -9,7 +9,8 @@
 //
 // It reports four things:
 //
-//  1. engine throughput (Mevals/s, ns/cycle) for all four engines —
+//  1. engine throughput (Mevals/s, ns/cycle; median and quartiles of
+//     designRounds interleaved rounds) for all four engines —
 //     interp, compiled, native (pre-generated straight-line code, the
 //     default), and batch (measured as 64 lanes of the same job,
 //     aggregate) — on the Toy design and on every benchmark of the
@@ -62,13 +63,15 @@ import (
 	"repro/internal/tracecache"
 )
 
-// EngineResult is one engine's throughput on one design.
+// EngineResult is one engine's throughput on one design, over the
+// design's interleaved rounds (see designRounds).
 type EngineResult struct {
-	Engine     string  `json:"engine"`
-	Cycles     uint64  `json:"cycles"`
-	Seconds    float64 `json:"seconds"`
-	MevalsPerS float64 `json:"mevals_per_s"`
-	NsPerCycle float64 `json:"ns_per_cycle"`
+	Engine string `json:"engine"`
+	// Cycles is the simulated cycle count of one timed pass (aggregate
+	// over the lanes for batch).
+	Cycles     uint64    `json:"cycles"`
+	MevalsPerS Quartiles `json:"mevals_per_s"`
+	NsPerCycle Quartiles `json:"ns_per_cycle"`
 }
 
 // DesignResult groups the engines' numbers on one design plus the
@@ -76,8 +79,10 @@ type EngineResult struct {
 type DesignResult struct {
 	Design  string         `json:"design"`
 	Nodes   int            `json:"nodes"`
+	Rounds  int            `json:"rounds"`
 	Engines []EngineResult `json:"engines"`
-	// Speedup ratios in Mevals/s (equivalently wall-clock, same work).
+	// Speedup ratios of median ns/cycle (equivalently wall-clock, same
+	// work).
 	CompiledVsInterp float64 `json:"compiled_vs_interp"`
 	// NativeVsCompiled compares the pre-generated native code against
 	// the compiled instruction stream on the same single job. For
@@ -197,9 +202,10 @@ type Report struct {
 // every ratio reads engines[i] vs engines[0].
 var engineOrder = []rtl.Engine{rtl.EngineInterp, rtl.EngineCompiled, rtl.EngineNative}
 
-// measurePasses splits each engine measurement into this many timed
-// passes and reports the fastest one, so a transient background blip
-// hitting one engine's slice of wall-clock does not skew the ratios.
+// measurePasses splits each trace-throughput measurement into this
+// many timed passes and reports the fastest one, so a transient
+// background blip hitting one engine's slice of wall-clock does not
+// skew the ratios.
 const measurePasses = 3
 
 // measure runs fn reps times in measurePasses timed passes and
@@ -229,35 +235,46 @@ func measure(reps int, fn func() (uint64, error)) (uint64, float64, error) {
 	return bestCycles, bestSecs, nil
 }
 
+// designRounds is how many interleaved rounds the per-design engine
+// rows get. A single back-to-back pass per engine moved a row's ratio
+// by up to 2x between invocations with neither engine changed; each
+// round times every engine once, rotating which goes first, and a row
+// reports the median and quartiles across rounds.
+const designRounds = 5
+
 // measureDesign runs one job on a design under the three scalar
 // engines, then the same job on all 64 lanes of the batch engine
-// (whose cycles and Mevals/s are therefore aggregate numbers).
+// (whose cycles and Mevals/s are therefore aggregate numbers), in
+// designRounds interleaved rounds of about reps/designRounds jobs per
+// engine.
 func measureDesign(design string, m *rtl.Module, job accel.Job, maxTicks uint64, reps int,
 	runner func(*rtl.Sim) func() (uint64, error)) (DesignResult, error) {
-	dr := DesignResult{Design: design, Nodes: m.NumNodes()}
+	type pass struct {
+		engine rtl.Engine
+		run    func() (uint64, error)
+	}
+	var passes []pass
+	per := max(1, reps/designRounds)
 	for _, eng := range engineOrder {
-		cycles, secs, err := measure(reps, runner(rtl.NewSimEngine(m, eng)))
-		if err != nil {
-			return dr, fmt.Errorf("%s/%s: %w", design, eng, err)
-		}
-		dr.Engines = append(dr.Engines, EngineResult{
-			Engine:     string(eng),
-			Cycles:     cycles,
-			Seconds:    secs,
-			MevalsPerS: float64(cycles*uint64(m.NumNodes())) / secs / 1e6,
-			NsPerCycle: secs * 1e9 / float64(cycles),
-		})
+		fn := runner(rtl.NewSimEngine(m, eng))
+		passes = append(passes, pass{eng, func() (uint64, error) {
+			var cycles uint64
+			for i := 0; i < per; i++ {
+				c, err := fn()
+				if err != nil {
+					return 0, err
+				}
+				cycles += c
+			}
+			return cycles, nil
+		}})
 	}
 	jobs := make([]accel.Job, rtl.MaxBatchLanes)
 	for l := range jobs {
 		jobs[l] = job
 	}
 	bs := rtl.NewBatchSim(m, len(jobs))
-	batchReps := reps / len(jobs)
-	if batchReps < measurePasses {
-		batchReps = measurePasses
-	}
-	cycles, secs, err := measure(batchReps, func() (uint64, error) {
+	passes = append(passes, pass{rtl.EngineBatch, func() (uint64, error) {
 		ticks, errs := accel.RunJobs(bs, jobs, maxTicks)
 		total := uint64(0)
 		for l, e := range errs {
@@ -267,21 +284,38 @@ func measureDesign(design string, m *rtl.Module, job accel.Job, maxTicks uint64,
 			total += ticks[l]
 		}
 		return total, nil
-	})
-	if err != nil {
-		return dr, fmt.Errorf("%s/batch: %w", design, err)
+	}})
+
+	dr := DesignResult{Design: design, Nodes: m.NumNodes(), Rounds: designRounds}
+	cycles := make([]uint64, len(passes))
+	ns := make([][]float64, len(passes))
+	mevals := make([][]float64, len(passes))
+	for r := 0; r < designRounds; r++ {
+		for k := range passes {
+			i := (k + r) % len(passes)
+			start := time.Now() //detlint:allow simbench measures wall-clock throughput by design
+			c, err := passes[i].run()
+			if err != nil {
+				return dr, fmt.Errorf("%s/%s: %w", design, passes[i].engine, err)
+			}
+			secs := time.Since(start).Seconds()
+			cycles[i] = c
+			ns[i] = append(ns[i], secs*1e9/float64(c))
+			mevals[i] = append(mevals[i], float64(c*uint64(m.NumNodes()))/secs/1e6)
+		}
 	}
-	dr.Engines = append(dr.Engines, EngineResult{
-		Engine:     string(rtl.EngineBatch),
-		Cycles:     cycles,
-		Seconds:    secs,
-		MevalsPerS: float64(cycles*uint64(m.NumNodes())) / secs / 1e6,
-		NsPerCycle: secs * 1e9 / float64(cycles),
-	})
-	interp, compiled := dr.Engines[0].MevalsPerS, dr.Engines[1].MevalsPerS
-	dr.CompiledVsInterp = compiled / interp
-	dr.NativeVsCompiled = dr.Engines[2].MevalsPerS / compiled
-	dr.BatchVsCompiled = dr.Engines[3].MevalsPerS / compiled
+	for i, p := range passes {
+		dr.Engines = append(dr.Engines, EngineResult{
+			Engine:     string(p.engine),
+			Cycles:     cycles[i],
+			MevalsPerS: quartiles(mevals[i]),
+			NsPerCycle: quartiles(ns[i]),
+		})
+	}
+	nsMedian := func(i int) float64 { return dr.Engines[i].NsPerCycle.Median }
+	dr.CompiledVsInterp = nsMedian(0) / nsMedian(1)
+	dr.NativeVsCompiled = nsMedian(1) / nsMedian(2)
+	dr.BatchVsCompiled = nsMedian(1) / nsMedian(3)
 	return dr, nil
 }
 

@@ -67,13 +67,17 @@ func TestMeasureDesignToy(t *testing.T) {
 	if len(dr.Engines) != 4 {
 		t.Fatalf("%d engine rows, want 4", len(dr.Engines))
 	}
+	if dr.Rounds != designRounds {
+		t.Errorf("%d rounds, want %d", dr.Rounds, designRounds)
+	}
 	for _, e := range dr.Engines {
-		if e.Cycles == 0 || e.Seconds <= 0 {
-			t.Errorf("%s: %d cycles in %v s", e.Engine, e.Cycles, e.Seconds)
+		q := e.NsPerCycle
+		if e.Cycles == 0 || !(q.P25 > 0 && q.P25 <= q.Median && q.Median <= q.P75) || !(e.MevalsPerS.Median > 0) {
+			t.Errorf("%s: %d cycles per pass, %+v ns/cycle, %+v Mevals/s", e.Engine, e.Cycles, q, e.MevalsPerS)
 		}
 	}
 	if want := testdesigns.ToyCycles(items); dr.Engines[0].Cycles != want {
-		t.Errorf("interp measured %d cycles in its best pass, want %d (one job)", dr.Engines[0].Cycles, want)
+		t.Errorf("interp measured %d cycles per pass, want %d (one job)", dr.Engines[0].Cycles, want)
 	}
 	for _, r := range []float64{dr.CompiledVsInterp, dr.NativeVsCompiled, dr.BatchVsCompiled} {
 		if !(r > 0) {

@@ -30,9 +30,12 @@ func ConstFacts(a *Analysis) map[rtl.NodeID]uint64 {
 // rtl.Simplify's folding, identity rewrites, and dead-code elimination
 // run as usual — so constant control chains, never-enabled write ports,
 // and frozen registers disappear from the instruction stream every
-// engine executes. Registers listed in keepRegs survive with their
-// state observable; the returned map gives each surviving source
-// register's new index, exactly like rtl.Simplify.
+// engine executes, and so does the write-only datapath: rtl.Simplify
+// roots a memory's write ports only when live logic reads the memory,
+// so the contents of write-only memories are not preserved. Registers
+// listed in keepRegs survive with their state observable; the returned
+// map gives each surviving source register's new index, exactly like
+// rtl.Simplify.
 func Prune(m *rtl.Module, keepRegs []int) (*rtl.Module, map[int]int) {
 	return rtl.SimplifyWithConsts(m, keepRegs, ConstFacts(Analyze(m)))
 }

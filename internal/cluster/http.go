@@ -155,7 +155,7 @@ func (a *API) handleDrain(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
 		return
 	}
-	deadline := time.Now().Add(2 * time.Minute) //detlint:allow HTTP timeout, not a replay path
+	deadline := time.Now().Add(serve.DrainTimeout) //detlint:allow HTTP timeout, not a replay path
 	for {
 		busy := false
 		for _, ps := range a.fleet.Stats() {

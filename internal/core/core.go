@@ -22,6 +22,7 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/absint"
 	"repro/internal/accel"
@@ -211,8 +212,9 @@ func train(spec accel.Spec, opt Options) (*Predictor, trainRuns, error) {
 	// goroutines, each owning a private Sim clone; results land in
 	// index-addressed slots and are identical to a serial run.
 	// The full-design simulators run the pruned twin when pruning is
-	// enabled: identical cycle-for-cycle on done, memories, and every
-	// witness register, but with proven-constant logic folded away.
+	// enabled: identical cycle-for-cycle on done and every witness
+	// register, with proven-constant logic folded away and the datapath
+	// feeding write-only memories dropped.
 	fullM, featRegs, hints, err := bindFull(ins, analyze.BatchHints(a))
 	if err != nil {
 		return nil, trainRuns{}, err
@@ -485,7 +487,21 @@ type JobTrace struct {
 type JobSimulator struct {
 	p           *Predictor
 	full, slice *rtl.Sim
+	stages      Stages
 }
+
+// Stages is the wall-clock split of a JobSimulator's last Trace or
+// Execute call: the full-design run (Exec), the slice run (Slice), and
+// the prediction from the slice's features — reading them, the model's
+// dot product and the clamp (Predict). Execute runs no slice and
+// predicts nothing, so it leaves those two zero. Wall-clock time never
+// enters a JobTrace, so traces stay deterministic.
+type Stages struct {
+	Exec, Slice, Predict time.Duration
+}
+
+// Stages reports the stage times of the last Trace or Execute call.
+func (js *JobSimulator) Stages() Stages { return js.stages }
 
 // NewJobSimulator returns a simulator bound to this predictor with
 // private clones of the instrumented design and the slice.
@@ -493,12 +509,15 @@ func (p *Predictor) NewJobSimulator() *JobSimulator {
 	return &JobSimulator{p: p, full: p.fullSim.Clone(), slice: p.sliceSim.Clone()}
 }
 
-// Engine reports the engine actually executing the slice — the
-// latency-critical simulator on the serving path. When the default
-// engine is native but the slice's netlist has no registered generated
-// step, this reports the compiled fallback, making a silently stale
-// registry observable (see rtl.NativeFallbacks).
-func (js *JobSimulator) Engine() rtl.Engine { return js.slice.Engine() }
+// SliceEngine and ExecEngine report the engines actually executing the
+// slice and the full design. When the default engine is native but a
+// netlist has no registered generated run function, they report the
+// compiled fallback, making a silently stale registry observable (see
+// rtl.NativeFallbacks).
+func (js *JobSimulator) SliceEngine() rtl.Engine { return js.slice.Engine() }
+
+// ExecEngine: see SliceEngine.
+func (js *JobSimulator) ExecEngine() rtl.Engine { return js.full.Engine() }
 
 // Trace runs one job on both the instrumented full design and the
 // hardware slice, returning its complete trace (ground-truth cycles
@@ -506,7 +525,9 @@ func (js *JobSimulator) Engine() rtl.Engine { return js.slice.Engine() }
 func (js *JobSimulator) Trace(job accel.Job) (JobTrace, error) {
 	simJobs.Add(1)
 	p := js.p
+	start := time.Now() //detlint:allow stage timing for metrics; never enters a trace
 	ticks, err := accel.RunJob(js.full, job, p.Spec.MaxTicks)
+	js.stages = Stages{Exec: time.Since(start)}
 	if err != nil {
 		return JobTrace{}, fmt.Errorf("core: %s job: %w", p.Spec.Name, err)
 	}
@@ -519,14 +540,19 @@ func (js *JobSimulator) Trace(job accel.Job) (JobTrace, error) {
 func (js *JobSimulator) traceSlice(job accel.Job, ticks uint64, fullFeats []float64) (JobTrace, error) {
 	simJobs.Add(1)
 	p := js.p
+	start := time.Now() //detlint:allow stage timing for metrics; never enters a trace
 	sliceTicks, err := accel.RunJob(js.slice, job, p.Spec.MaxTicks)
+	predStart := time.Now() //detlint:allow stage timing for metrics; never enters a trace
+	js.stages.Slice = predStart.Sub(start)
 	if err != nil {
 		return JobTrace{}, fmt.Errorf("core: %s slice job: %w", p.Spec.Name, err)
 	}
 	if err := p.checkObserved(ticks, sliceTicks); err != nil {
 		return JobTrace{}, err
 	}
-	return p.buildTrace(job, ticks, sliceTicks, fullFeats, p.Slice.ReadFeatures(js.slice)), nil
+	tr := p.buildTrace(job, ticks, sliceTicks, fullFeats, p.Slice.ReadFeatures(js.slice))
+	js.stages.Predict = time.Since(predStart)
+	return tr, nil
 }
 
 // buildTrace assembles one JobTrace from a finished full-design run and
@@ -576,7 +602,9 @@ func (p *Predictor) readFullFeatures(s rtl.RegReader) []float64 {
 func (js *JobSimulator) Execute(job accel.Job) (JobTrace, error) {
 	simJobs.Add(1)
 	p := js.p
+	start := time.Now() //detlint:allow stage timing for metrics; never enters a trace
 	ticks, err := accel.RunJob(js.full, job, p.Spec.MaxTicks)
+	js.stages = Stages{Exec: time.Since(start)}
 	if err != nil {
 		return JobTrace{}, fmt.Errorf("core: %s job: %w", p.Spec.Name, err)
 	}

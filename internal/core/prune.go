@@ -12,11 +12,13 @@ import (
 
 // Pruning gates the abstract-interpretation netlist pruning applied to
 // the simulated modules: proven-constant registers and cones are folded
-// to literals and dead write ports dropped before the engines compile
-// the design, so every engine executes fewer instructions per cycle.
-// Pruning is behavior-preserving on done, the witness registers, and
-// memory contents (see absint.Prune), so traces, features, and cache
-// artifacts are bit-identical either way. On by default; REPRO_PRUNE=0
+// to literals, and the datapath feeding only write-only memories is
+// dropped, before the engines compile the design, so every engine
+// executes fewer instructions per cycle. Pruning is behavior-preserving
+// on done, the witness registers, and every memory live logic reads
+// (see absint.Prune); nothing in the flow reads the dropped output
+// memories, so traces, features, and cache artifacts are bit-identical
+// either way. On by default; REPRO_PRUNE=0
 // or SetPruning(false) disables it (the escape hatch if a pruned design
 // ever needs to be ruled out while debugging).
 var pruneDisabled atomic.Bool

@@ -435,6 +435,33 @@ func copyKnown(src map[int32]uint64) map[int32]uint64 {
 	return dst
 }
 
+// absorbed returns the value of a two-operand node that one known
+// operand decides on its own: x&0 and x*0 are zero, and x|k is all
+// ones when k sets every result bit. Operands count modulo the result
+// width, so x*256 at width 8 is zero too. Folding these lets a guard
+// built from a known-zero enable (and every mux it selects) fold away
+// instead of surviving as residual code.
+func absorbed(n *rtl.Node, known map[int32]uint64) (uint64, bool) {
+	mask := n.Mask()
+	for a := 0; a < 2; a++ {
+		v, ok := known[int32(n.Args[a])]
+		if !ok {
+			continue
+		}
+		switch n.Op {
+		case rtl.OpAnd, rtl.OpMul:
+			if v&mask == 0 {
+				return 0, true
+			}
+		case rtl.OpOr:
+			if v&mask == mask {
+				return mask, true
+			}
+		}
+	}
+	return 0, false
+}
+
 // planOps partially evaluates the listed nodes (in the given SSA
 // order) under the known-value map, appending to known as values are
 // proven, and returns the residual instruction list.
@@ -462,11 +489,15 @@ func planOps(m *rtl.Module, ids []rtl.NodeID, known map[int32]uint64) []inst {
 			}
 			argv[a] = v
 		}
+		av, absorbing := absorbed(n, known)
 		switch {
 		case argKnown && n.Op != rtl.OpMemRead:
 			v := rtl.EvalNode(n, argv)
 			known[int32(id)] = v
 			in.kind, in.imm = pConst, v
+		case absorbing:
+			known[int32(id)] = av
+			in.kind, in.imm = pConst, av
 		case n.Op == rtl.OpMux:
 			if sel, ok := known[in.a]; ok {
 				src := in.b

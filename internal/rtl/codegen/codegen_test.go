@@ -7,6 +7,8 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"regexp"
+	"strings"
 	"testing"
 
 	"repro/internal/rtl"
@@ -202,5 +204,64 @@ func TestUnspecializedPlan(t *testing.T) {
 	}
 	for _, limit := range []uint64{1, 2, 3, 17, 64} {
 		runMatches(t, m, p, func(*rtl.Sim) {}, limit)
+	}
+}
+
+// absorbingLine matches an emitted statement that applies an absorbing
+// literal operand: x&0, x*0 or x|mask survive as residual code only
+// when the planner missed the fold.
+var absorbingLine = regexp.MustCompile(`:= 0x0 & |& 0x0\b|\* 0x0\b|\(0x0 \*`)
+
+// TestPlanFoldsAbsorbingOperands pins the planner's absorbing-element
+// folds: x&0, x*k with k zero modulo the result width, and x|mask
+// with every result bit set are constants whatever x is, and a mux
+// whose selector one of them decides collapses to a copy. None of the
+// folded nodes may get a local in the emitted source, the mux must
+// not branch, and the plan must still run bit-exact with the
+// interpreter. No test design's emitted source may apply an absorbing
+// literal either.
+func TestPlanFoldsAbsorbingOperands(t *testing.T) {
+	b := rtl.NewBuilder("absorb")
+	x := b.Input("x", 8)
+	y := b.Input("y", 8)
+	cnt := b.Reg("cnt", 4, 0)
+	b.SetNext(cnt, cnt.Inc())
+	andZero := x.And(b.Const(0, 8))
+	mulZero := y.Mul(b.Const(0x100, 12), 8)
+	orMask := x.Or(b.Const(0xff, 8))
+	sel := andZero.Or(mulZero).NonZero()
+	mux := sel.Mux(x.Add(y), orMask)
+	r := b.Reg("r", 8, 0)
+	b.SetNext(r, mux)
+	b.SetDone(cnt.EqK(12))
+	m := b.MustBuild()
+
+	p := codegen.Build(m)
+	src := codegen.EmitFunc(p, "run_absorb")
+	for _, n := range []struct {
+		name string
+		id   rtl.NodeID
+	}{{"x&0", andZero.ID()}, {"y*0x100", mulZero.ID()}, {"x|0xff", orMask.ID()}, {"selector", sel.ID()}} {
+		if strings.Contains(src, fmt.Sprintf("v%d ", n.id)) {
+			t.Errorf("%s (node %d) was not folded:\n%s", n.name, n.id, src)
+		}
+	}
+	if strings.Contains(src, fmt.Sprintf("var v%d ", mux.ID())) {
+		t.Errorf("mux (node %d) still branches on its folded selector:\n%s", mux.ID(), src)
+	}
+	drive := func(s *rtl.Sim) {
+		s.SetInput(x.ID(), 0xa5)
+		s.SetInput(y.ID(), 0x3c)
+	}
+	for _, limit := range []uint64{1, 2, 5, 13, 20} {
+		runMatches(t, m, p, drive, limit)
+	}
+
+	for _, d := range append(testDesigns(), testDesign{"absorb", m}) {
+		for _, line := range strings.Split(codegen.EmitFunc(codegen.Build(d.m), "run_"+d.name), "\n") {
+			if absorbingLine.MatchString(line) {
+				t.Errorf("%s: residual absorbing operand: %s", d.name, strings.TrimSpace(line))
+			}
+		}
 	}
 }

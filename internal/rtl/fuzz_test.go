@@ -243,7 +243,8 @@ func FuzzEngineDifferential(f *testing.F) {
 // diffPruned replays recorded stimulus on the absint-pruned module
 // under all three scalar engines, against a fresh unpruned interpreter:
 // done timing, every kept register (through the pruning register map),
-// and memory contents must match cycle for cycle.
+// and the contents of the memory, when it survives, must match cycle
+// for cycle.
 func diffPruned(t *testing.T, m *rtl.Module, ins []rtl.NodeID, load []uint64, stim [][]uint64) {
 	t.Helper()
 	keep := make([]int, len(m.Regs))
@@ -259,8 +260,9 @@ func diffPruned(t *testing.T, m *rtl.Module, ins []rtl.NodeID, load []uint64, st
 	if err := ref.LoadMem("m", load); err != nil {
 		t.Fatal(err)
 	}
-	// The memory can legitimately disappear when no read and no enabled
-	// write survives pruning; its contents are then the untouched load.
+	// The memory disappears when no live logic reads it (pruning does not
+	// preserve a write-only memory's contents) or no read and no enabled
+	// write survives.
 	prunedHasMem := psims[0].s.Mem("m") != nil
 	if prunedHasMem {
 		for _, e := range psims {

@@ -6,17 +6,23 @@ package rtl
 // algebraic identities, global value numbering, and dead-code
 // elimination of both combinational nodes and registers.
 //
-// Roots are the done signal, the memory write ports, and the registers
-// named in keepRegs (by Regs index) — the slicer passes its feature
-// witnesses there. Registers not reachable from any root are dropped.
-// The returned map gives each surviving source register's new index;
-// dropped registers are absent.
+// Roots are the done signal, the registers named in keepRegs (by Regs
+// index) — the slicer passes its feature witnesses there — and the
+// write ports of every live memory, one that logic in the cone of a
+// root reads. Registers not reachable from any root are dropped. A
+// memory nothing live reads is write-only: its write ports are not
+// roots, so they, the memory and the logic only they consume are
+// dropped too. The returned map gives each surviving source register's
+// new index; dropped registers are absent.
 //
-// Simplification preserves cycle-accurate behaviour exactly: it only
-// replaces nodes with provably equal ones and removes state no root can
-// observe. The slice package runs it so that elided guards collapse the
-// logic they used to select, which is what brings slice areas down to
-// the small fractions the paper reports.
+// Simplification preserves cycle-accurate behaviour on everything it
+// keeps: done timing, every surviving register and the contents of
+// every surviving memory. It only replaces nodes with provably equal
+// ones and removes state no root can observe; the contents of a
+// write-only memory are not preserved. The slice package runs it so
+// that elided guards collapse the logic they used to select, which is
+// what brings slice areas down to the small fractions the paper
+// reports.
 func Simplify(m *Module, keepRegs []int) (*Module, map[int]int) {
 	return SimplifyWithConsts(m, keepRegs, nil)
 }
@@ -98,10 +104,14 @@ func substConsts(m *Module, keepRegs []int, consts map[NodeID]uint64) (*Module, 
 // simplify is the shared implementation behind Simplify and
 // SimplifyWithConsts.
 func simplify(m *Module, keepRegs []int) (*Module, map[int]int) {
-	// Phase 1: register liveness on the source module. A register is
-	// live if its OpReg node is in the cone of a root; live registers'
-	// next expressions become roots in turn.
+	// Phase 1: register and memory liveness on the source module. A
+	// register is live if its OpReg node is in the cone of a root; live
+	// registers' next expressions become roots in turn. A memory is live
+	// if a node in the cone reads it; its write ports become roots in
+	// turn. A memory nothing live reads is write-only: its ports are not
+	// roots, so the datapath feeding them drops out.
 	liveRegs := make([]bool, len(m.Regs))
+	liveMems := make([]bool, len(m.Mems))
 	inCone := make(map[NodeID]bool)
 	var stack []NodeID
 	push := func(id NodeID) {
@@ -111,11 +121,6 @@ func simplify(m *Module, keepRegs []int) (*Module, map[int]int) {
 		}
 	}
 	push(m.Done)
-	for _, w := range m.Writes {
-		push(w.Addr)
-		push(w.Data)
-		push(w.En)
-	}
 	for _, ri := range keepRegs {
 		liveRegs[ri] = true
 		push(m.Regs[ri].Node)
@@ -128,10 +133,22 @@ func simplify(m *Module, keepRegs []int) (*Module, map[int]int) {
 		for i := 0; i < int(n.NArgs); i++ {
 			push(n.Args[i])
 		}
-		if n.Op == OpReg {
+		switch n.Op {
+		case OpReg:
 			if ri := m.RegIndex(id); ri >= 0 && !liveRegs[ri] {
 				liveRegs[ri] = true
 				push(m.Regs[ri].Next)
+			}
+		case OpMemRead:
+			if !liveMems[n.Mem] {
+				liveMems[n.Mem] = true
+				for _, w := range m.Writes {
+					if w.Mem == n.Mem {
+						push(w.Addr)
+						push(w.Data)
+						push(w.En)
+					}
+				}
 			}
 		}
 	}
@@ -173,6 +190,9 @@ func simplify(m *Module, keepRegs []int) (*Module, map[int]int) {
 		})
 	}
 	for _, w := range m.Writes {
+		if !liveMems[w.Mem] {
+			continue
+		}
 		en := s.rewrite(w.En)
 		if v, ok := s.constOf(en); ok && v == 0 {
 			// A write whose enable is provably never asserted writes

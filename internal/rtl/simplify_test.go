@@ -381,3 +381,100 @@ func TestSimplifyWithConstsFacts(t *testing.T) {
 		t.Fatal("intentionally wrong fact did not change behaviour; substitution inert?")
 	}
 }
+
+// TestSimplifyRootsOnlyReadMemories pins the memory-liveness rule: a
+// write port is a root only when live logic reads its memory. A
+// write-only memory loses its port and the register feeding it; a
+// memory read back by the done cone keeps its port; and in a
+// memory→register→memory chain whose far end done reads, liveness
+// reaches back through the register to the near memory's port too.
+// Done, every surviving register and every surviving memory still
+// match the source module cycle for cycle.
+func TestSimplifyRootsOnlyReadMemories(t *testing.T) {
+	b := NewBuilder("memlive")
+	x := b.Input("x", 8)
+	one := b.Const(1, 1)
+	cnt := b.Reg("cnt", 4, 0)
+	b.SetNext(cnt, cnt.Inc())
+
+	// Write-only: an accumulator stored every cycle and never read.
+	acc := b.Reg("acc", 8, 0)
+	b.SetNext(acc, acc.Add(x).Trunc(8))
+	out := b.Memory("out", 16)
+	b.Write(out, cnt.Signal, acc.Signal, one)
+
+	// Read back by done.
+	d := b.Reg("d", 8, 0)
+	b.SetNext(d, d.Xor(x))
+	buf := b.Memory("buf", 16)
+	b.Write(buf, cnt.Signal, d.Signal, one)
+	bufHit := b.Read(buf, cnt.Dec(), 8).EqK(0xff)
+
+	// Chain: near is latched into r2, r2 is stored into far, done reads far.
+	r1 := b.Reg("r1", 8, 0)
+	b.SetNext(r1, r1.Add(x).Trunc(8))
+	near := b.Memory("near", 16)
+	b.Write(near, cnt.Signal, r1.Signal, one)
+	r2 := b.Reg("r2", 8, 0)
+	b.SetNext(r2, b.Read(near, cnt.Dec(), 8))
+	far := b.Memory("far", 16)
+	b.Write(far, cnt.Signal, r2.Signal, one)
+	farHit := b.Read(far, cnt.Dec(), 8).EqK(0xfe)
+
+	b.SetDone(cnt.EqK(15).Or(bufHit).Or(farHit))
+	m := b.MustBuild()
+	sm, regMap := Simplify(m, nil)
+	if err := sm.Validate(); err != nil {
+		t.Fatalf("simplified module invalid: %v", err)
+	}
+
+	if sm.MemByName("out") != nil {
+		t.Error("write-only memory out survived")
+	}
+	if _, ok := regMap[acc.regIndex]; ok {
+		t.Error("register acc, which feeds only the write-only memory, survived")
+	}
+	for _, name := range []string{"buf", "near", "far"} {
+		if sm.MemByName(name) == nil {
+			t.Errorf("read memory %s dropped", name)
+		}
+	}
+	for _, r := range []RegSignal{cnt, d, r1, r2} {
+		if _, ok := regMap[r.regIndex]; !ok {
+			t.Errorf("register %s dropped", m.Regs[r.regIndex].Name)
+		}
+	}
+	if len(sm.Writes) != 3 {
+		t.Fatalf("%d write ports survive, want 3 (buf, near, far)", len(sm.Writes))
+	}
+
+	s1, s2 := NewInterpSim(m), NewInterpSim(sm)
+	var sx NodeID = InvalidNode
+	for i := range sm.Nodes {
+		if sm.Nodes[i].Op == OpInput {
+			sx = NodeID(i)
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	for cycle := 0; cycle < 40; cycle++ {
+		v := rng.Uint64()
+		s1.SetInput(x.ID(), v)
+		s2.SetInput(sx, v)
+		if d1, d2 := s1.Step(), s2.Step(); d1 != d2 {
+			t.Fatalf("cycle %d: done %v, simplified %v", cycle, d1, d2)
+		}
+		for oi, ni := range regMap {
+			if v1, v2 := s1.RegValue(oi), s2.RegValue(ni); v1 != v2 {
+				t.Fatalf("cycle %d: reg %s = %d, simplified %d", cycle, m.Regs[oi].Name, v1, v2)
+			}
+		}
+		for _, mem := range sm.Mems {
+			m1, m2 := s1.Mem(mem.Name), s2.Mem(mem.Name)
+			for w := range m1 {
+				if m1[w] != m2[w] {
+					t.Fatalf("cycle %d: %s[%d] = %d, simplified %d", cycle, mem.Name, w, m1[w], m2[w])
+				}
+			}
+		}
+	}
+}

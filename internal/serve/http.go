@@ -223,12 +223,17 @@ func (a *API) handleJobs(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, resp)
 }
 
+// DrainTimeout bounds how long POST /v1/drain (here and in the cluster
+// API) waits for the queues to empty before answering 503. A server's
+// write timeout must exceed it, or the drain answer is cut off.
+const DrainTimeout = 2 * time.Minute
+
 func (a *API) handleDrain(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
 		return
 	}
-	deadline := time.Now().Add(2 * time.Minute) //detlint:allow HTTP timeout, not a replay path
+	deadline := time.Now().Add(DrainTimeout) //detlint:allow HTTP timeout, not a replay path
 	for {
 		busy := false
 		for _, st := range a.srv.Stats() {
@@ -259,9 +264,12 @@ func (a *API) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // WriteMetrics renders the Prometheus-style text exposition for the
 // given shards, in order, labeling every per-shard series with the
-// shard's name, followed by the process-wide counters: native-engine
-// fallbacks, design runs (simulated and batched), and — when a trace
-// cache is installed — trace-cache hits and misses.
+// shard's name — counters, gauges, the latency histogram, and the
+// per-stage wall-clock histograms of simulated jobs (exec_sim_ns,
+// slice_sim_ns, predict_ns; see core.Stages) — followed by the
+// process-wide counters: native-engine fallbacks, design runs
+// (simulated and batched), and — when a trace cache is installed —
+// trace-cache hits and misses.
 // The single-server /metrics endpoint and the cluster endpoint (where
 // each replica is a shard named "bench/i") share this renderer.
 func WriteMetrics(w io.Writer, shards []*Shard) {
@@ -325,19 +333,39 @@ func WriteMetrics(w io.Writer, shards []*Shard) {
 		fmt.Fprintf(w, "dvfserved_latency_seconds_sum{shard=%q} %g\n", name, sum)
 		fmt.Fprintf(w, "dvfserved_latency_seconds_count{shard=%q} %d\n", name, cum[len(cum)-1])
 	}
-	fmt.Fprintf(w, "# HELP dvfserved_predict_ns Wall-clock prediction latency in nanoseconds, labeled with the RTL engine executing the slice.\n# TYPE dvfserved_predict_ns histogram\n")
-	for _, sh := range shards {
-		name := sh.Name()
-		if sh.predEngine == "" {
-			continue // replay-only shard: no predictor, no predictions
+	// Stage times of simulated jobs. The simulation stages carry the
+	// engine that ran them; the prediction runs no RTL engine.
+	stages := []struct {
+		name, help string
+		hist       func(*Shard) *histogram
+		engine     func(*Shard) string
+	}{
+		{"dvfserved_exec_sim_ns", "Wall-clock full-design simulation per job in nanoseconds, labeled with the RTL engine running the full design.",
+			func(sh *Shard) *histogram { return &sh.execHist }, func(sh *Shard) string { return sh.execEngine }},
+		{"dvfserved_slice_sim_ns", "Wall-clock slice simulation per predicted job in nanoseconds, labeled with the RTL engine running the slice.",
+			func(sh *Shard) *histogram { return &sh.sliceHist }, func(sh *Shard) string { return sh.sliceEngine }},
+		{"dvfserved_predict_ns", "Wall-clock prediction from the slice's features (feature read, dot product, clamp) per predicted job in nanoseconds.",
+			func(sh *Shard) *histogram { return &sh.predictHist }, nil},
+	}
+	for _, st := range stages {
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", st.name, st.help, st.name)
+		for _, sh := range shards {
+			if sh.execEngine == "" {
+				continue // replay-only shard
+			}
+			labels := fmt.Sprintf("shard=%q", sh.Name())
+			if st.engine != nil {
+				labels += fmt.Sprintf(",engine=%q", st.engine(sh))
+			}
+			h := st.hist(sh)
+			cum, sum := h.Snapshot()
+			for i, b := range h.bkts() {
+				fmt.Fprintf(w, "%s_bucket{%s,le=%q} %d\n", st.name, labels, fmt.Sprintf("%g", b), cum[i])
+			}
+			fmt.Fprintf(w, "%s_bucket{%s,le=\"+Inf\"} %d\n", st.name, labels, cum[len(cum)-1])
+			fmt.Fprintf(w, "%s_sum{%s} %g\n", st.name, labels, sum)
+			fmt.Fprintf(w, "%s_count{%s} %d\n", st.name, labels, cum[len(cum)-1])
 		}
-		cum, sum := sh.predHist.Snapshot()
-		for i, b := range sh.predHist.bkts() {
-			fmt.Fprintf(w, "dvfserved_predict_ns_bucket{shard=%q,engine=%q,le=%q} %d\n", name, sh.predEngine, fmt.Sprintf("%g", b), cum[i])
-		}
-		fmt.Fprintf(w, "dvfserved_predict_ns_bucket{shard=%q,engine=%q,le=\"+Inf\"} %d\n", name, sh.predEngine, cum[len(cum)-1])
-		fmt.Fprintf(w, "dvfserved_predict_ns_sum{shard=%q,engine=%q} %g\n", name, sh.predEngine, sum)
-		fmt.Fprintf(w, "dvfserved_predict_ns_count{shard=%q,engine=%q} %d\n", name, sh.predEngine, cum[len(cum)-1])
 	}
 	// Process-wide counters, so unlabeled.
 	counter := func(name, help string, v uint64) {

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/accel"
 	"repro/internal/core"
-	"repro/internal/rtl"
 	"repro/internal/serve"
 	"repro/internal/suite"
 	"repro/internal/tracecache"
@@ -143,9 +142,11 @@ func TestHTTPAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The predict_ns engine label names the engine the slice actually
-	// runs on: compiled under the batch default, which has no scalar form.
-	sliceEngine := rtl.NewSimEngine(e.Pred.Slice.M, rtl.DefaultEngine()).Engine()
+	// The simulation stages' engine labels name the engine that actually
+	// runs each design: compiled under the batch default, which has no
+	// scalar form.
+	js := e.Pred.NewJobSimulator()
+	sliceEngine, execEngine := js.SliceEngine(), js.ExecEngine()
 	for _, want := range []string{
 		`dvfserved_jobs_done_total{shard="aes"} 12`,
 		`dvfserved_latency_seconds_count{shard="aes"} 12`,
@@ -153,8 +154,12 @@ func TestHTTPAPI(t *testing.T) {
 		`dvfserved_queue_depth{shard="aes"} 0`,
 		`dvfserved_bound_clamps_total{shard="aes"}`,
 		"# TYPE dvfserved_energy_joules_total counter",
+		"# TYPE dvfserved_exec_sim_ns histogram",
+		`dvfserved_exec_sim_ns_count{shard="aes",engine="` + string(execEngine) + `"} 12`,
+		"# TYPE dvfserved_slice_sim_ns histogram",
+		`dvfserved_slice_sim_ns_count{shard="aes",engine="` + string(sliceEngine) + `"} `,
 		"# TYPE dvfserved_predict_ns histogram",
-		`dvfserved_predict_ns_count{shard="aes",engine="` + string(sliceEngine) + `"}`,
+		`dvfserved_predict_ns_count{shard="aes"} `,
 		"# TYPE dvfserved_native_fallbacks_total counter",
 		"\ndvfserved_native_fallbacks_total ",
 		"# TYPE dvfserved_simulated_jobs_total counter",

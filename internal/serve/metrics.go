@@ -45,34 +45,32 @@ func (a *afloat) Store(v float64) { a.bits.Store(math.Float64bits(v)) }
 // 24 logarithmic buckets from 10 µs to ~1.3 s plus a +Inf overflow.
 // Serving latencies of interest sit between a slice runtime (~100 µs)
 // and a few deadlines (~50 ms), which this range brackets comfortably.
-var histBuckets = func() []float64 {
-	b := make([]float64, 24)
-	v := 10e-6
-	for i := range b {
-		b[i] = v
-		v *= 1.6
-	}
-	return b
-}()
+var histBuckets = logBuckets(10e-6)
 
-// predBuckets are the upper bounds (nanoseconds) of the prediction
-// latency histogram: 24 logarithmic buckets from 1 µs to ~50 ms plus a
-// +Inf overflow. Prediction latencies span a native slice run (a few
-// µs) up to a full-design degraded simulation, which this brackets.
-var predBuckets = func() []float64 {
+// simBuckets are the upper bounds (nanoseconds) of the simulation
+// stage histograms: 24 logarithmic buckets from 1 µs to ~50 ms plus a
+// +Inf overflow, bracketing a native slice run (a few µs) up to a
+// compiled full-design run.
+var simBuckets = logBuckets(1000)
+
+// predictBuckets are the prediction stage's: 10 ns to ~0.5 ms, since
+// a dot product over the kept features takes well under a microsecond.
+var predictBuckets = logBuckets(10)
+
+// logBuckets returns 24 logarithmic bucket bounds growing ×1.6 from lo.
+func logBuckets(lo float64) []float64 {
 	b := make([]float64, 24)
-	v := 1000.0
 	for i := range b {
-		b[i] = v
-		v *= 1.6
+		b[i] = lo
+		lo *= 1.6
 	}
 	return b
-}()
+}
 
 // histogram counts observations into 24 logarithmic buckets plus
 // overflow. The zero value uses histBuckets (seconds); set buckets
 // before the first Observe to use another scale with the same ×1.6
-// growth (predBuckets).
+// growth (logBuckets).
 type histogram struct {
 	counts  [25]atomic.Uint64 // len(bkts()) + overflow
 	total   atomic.Uint64

@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/accel/stencil"
@@ -91,7 +93,7 @@ func TestOnlineSwapDuringBacklog(t *testing.T) {
 		if !ok {
 			t.Fatal("online-enabled shard reports no trainer stats")
 		}
-		cum, _ := sh.predHist.Snapshot()
+		cum, _ := sh.predictHist.Snapshot()
 		return st, os, cum[len(cum)-1]
 	}
 
@@ -191,5 +193,57 @@ func TestOnlineRequiresPredictor(t *testing.T) {
 	cfg.Online = &online.Config{}
 	if _, err := NewShard(cfg); err == nil {
 		t.Error("replay-only shard accepted an online trainer")
+	}
+}
+
+// TestStageHistograms: every successfully simulated job records its
+// full-design run, and only predicted (non-degraded) jobs record a
+// slice run and a prediction; WriteMetrics renders the three
+// histograms, the simulation stages labeled with their engines.
+func TestStageHistograms(t *testing.T) {
+	cfg := stencilShardConfig(t)
+	cfg.Online = nil
+	cfg.DegradeWait = testDeadline / 2
+	sh, err := NewShard(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	imgs, _ := driftStream()
+	jobs := stencil.JobsFrom(imgs[:24], 5)
+	res := make(chan Outcome, len(jobs))
+	for _, job := range jobs {
+		// One burst: the tail of the queue waits past DegradeWait.
+		if err := sh.Submit(Job{Arrival: 0, Payload: job, Result: res}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sh.Close()
+	st := sh.Stats()
+	if st.Degraded == 0 || st.Degraded == st.Done {
+		t.Fatalf("%d of %d jobs degraded; want some of each path", st.Degraded, st.Done)
+	}
+	count := func(h *histogram) uint64 { cum, _ := h.Snapshot(); return cum[len(cum)-1] }
+	if got, want := count(&sh.execHist), st.Done-st.Errors; got != want {
+		t.Errorf("exec_sim_ns holds %d samples, want %d (every simulated job)", got, want)
+	}
+	predicted := st.Done - st.Degraded - st.Errors
+	if got := count(&sh.sliceHist); got != predicted {
+		t.Errorf("slice_sim_ns holds %d samples, want %d (predicted jobs)", got, predicted)
+	}
+	if got := count(&sh.predictHist); got != predicted {
+		t.Errorf("predict_ns holds %d samples, want %d (predicted jobs)", got, predicted)
+	}
+
+	var buf strings.Builder
+	WriteMetrics(&buf, []*Shard{sh})
+	js := cfg.Pred.NewJobSimulator()
+	for _, want := range []string{
+		fmt.Sprintf("dvfserved_exec_sim_ns_count{shard=\"stencil\",engine=%q} %d\n", js.ExecEngine(), st.Done-st.Errors),
+		fmt.Sprintf("dvfserved_slice_sim_ns_count{shard=\"stencil\",engine=%q} %d\n", js.SliceEngine(), predicted),
+		fmt.Sprintf("dvfserved_predict_ns_count{shard=\"stencil\"} %d\n", predicted),
+	} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("metrics missing %q", want)
+		}
 	}
 }

@@ -325,15 +325,17 @@ type Shard struct {
 	depth                          gauge
 	waitHist, latHist              histogram
 
-	// predHist tracks wall-clock prediction latency in nanoseconds,
-	// labeled with the engine actually executing the slice (native vs
-	// compiled fallback vs others) so the codegen engine's serving-path
-	// win — or a stale native registry — is visible on /metrics. It is
-	// deliberately NOT part of Stats: Stats must stay a deterministic
-	// function of the job stream (the chaos suite replays and diffs
-	// it), and wall-clock is not.
-	predHist   histogram
-	predEngine string
+	// execHist, sliceHist and predictHist track the wall-clock time of
+	// a simulated job's stages in nanoseconds (see core.Stages): the
+	// full-design run, the slice run, and the prediction. The two
+	// simulation stages are labeled with the engine actually running
+	// them (native vs compiled fallback vs others), so the generated
+	// engine's serving-path win — or a stale native registry — is
+	// visible on /metrics. They are deliberately NOT part of Stats:
+	// Stats must stay a deterministic function of the job stream (the
+	// chaos suite replays and diffs it), and wall-clock is not.
+	execHist, sliceHist, predictHist histogram
+	execEngine, sliceEngine          string
 }
 
 // NewShard validates the configuration and starts the shard's worker.
@@ -367,10 +369,13 @@ func NewShard(cfg ShardConfig) (*Shard, error) {
 		return nil, fmt.Errorf("serve: %s: %w", cfg.Name, err)
 	}
 	s := &Shard{cfg: cfg, queue: make(chan Job, cfg.QueueDepth), stepper: stepper}
-	s.predHist.buckets = predBuckets
+	s.execHist.buckets = simBuckets
+	s.sliceHist.buckets = simBuckets
+	s.predictHist.buckets = predictBuckets
 	if js := cfg.Profile.NewJobSimulator(); js != nil {
 		s.js = js
-		s.predEngine = string(s.js.Engine())
+		s.execEngine = string(js.ExecEngine())
+		s.sliceEngine = string(js.SliceEngine())
 	}
 	if cfg.Online != nil {
 		if cfg.Pred == nil {
@@ -660,9 +665,9 @@ func (s *Shard) serve(j Job) Outcome {
 	// this job and the next — so retrains land at a deterministic job
 	// index. Degraded jobs never ran the slice (no features, no
 	// prediction), so there is nothing to learn from them. The canary
-	// evaluation is pure replay arithmetic: it touches neither predHist
-	// (no wall-clock prediction happens) nor the serving counters, so
-	// shadow-predictions can never double-count.
+	// evaluation is pure replay arithmetic: it touches neither the
+	// stage histograms (no wall-clock prediction happens) nor the
+	// serving counters, so shadow-predictions can never double-count.
 	if s.trainer != nil && !degraded {
 		s.trainer.Observe(tr, jr.Missed)
 	}
@@ -692,15 +697,13 @@ func (s *Shard) simulate(j Job, degraded bool) (core.JobTrace, bool, error) {
 	case s.js == nil:
 		return core.JobTrace{}, false, fmt.Errorf("serve: %s: job without trace on a replay-only shard", s.cfg.Name)
 	}
-	// Prediction latency is observed for successful non-degraded
-	// attempts only (timed-out and errored attempts would measure the
-	// failure mode, not the engine) and never enters Stats — see the
-	// predHist field comment.
-	predStart := time.Now() //detlint:allow metrics-only wall-clock; no effect on serving behavior
+	// Stage times are observed for successful attempts only (timed-out
+	// and errored attempts would measure the failure mode, not the
+	// engine) and never enter Stats — see the execHist field comment.
 	if s.cfg.JobTimeout <= 0 {
 		tr, err := execute(s.js, j, degraded)
-		if err == nil && !degraded {
-			s.predHist.Observe(float64(time.Since(predStart).Nanoseconds()))
+		if err == nil {
+			s.observeStages(s.js.Stages(), degraded)
 		}
 		return tr, false, err
 	}
@@ -718,8 +721,8 @@ func (s *Shard) simulate(j Job, degraded bool) (core.JobTrace, bool, error) {
 	defer timer.Stop()
 	select {
 	case r := <-ch:
-		if r.err == nil && !degraded {
-			s.predHist.Observe(float64(time.Since(predStart).Nanoseconds()))
+		if r.err == nil {
+			s.observeStages(js.Stages(), degraded)
 		}
 		return r.tr, false, r.err
 	case <-timer.C:
@@ -729,6 +732,16 @@ func (s *Shard) simulate(j Job, degraded bool) (core.JobTrace, bool, error) {
 		// left the old one mid-job.
 		s.js = s.cfg.Pred.NewJobSimulator()
 		return core.JobTrace{}, true, nil
+	}
+}
+
+// observeStages records one successful attempt's stage times. A
+// degraded attempt ran the full design only.
+func (s *Shard) observeStages(st core.Stages, degraded bool) {
+	s.execHist.Observe(float64(st.Exec.Nanoseconds()))
+	if !degraded {
+		s.sliceHist.Observe(float64(st.Slice.Nanoseconds()))
+		s.predictHist.Observe(float64(st.Predict.Nanoseconds()))
 	}
 }
 
